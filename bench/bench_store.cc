@@ -2,7 +2,7 @@
 // "parse once, serve forever" PR. Series:
 //
 //   BM_PreparePage_ColdParse     — document preparation by parsing (the old
-//                                  cold path): parse + project + EDB object.
+//                                  cold path): parse + project.
 //   BM_PreparePage_MmapWarm      — the same preparation out of an open
 //                                  corpus store: Find + rehydrate, no parse.
 //                                  Acceptance: ≥ 5× ColdParse per page.

@@ -36,8 +36,8 @@ class NodeSet {
   }
 
   /// Resizes to `domain_size` and loads the membership words from `words`
-  /// ((domain_size+63)/64 of them) — the bulk path for bit-arrays frozen
-  /// into a corpus-store blob. Trailing bits past domain_size must be zero.
+  /// ((domain_size+63)/64 of them) — the bulk path for a packed bit-array.
+  /// Trailing bits past domain_size must be zero.
   void AssignWords(const uint64_t* words, int32_t domain_size) {
     MD_DCHECK(domain_size >= 0);
     domain_size_ = domain_size;
@@ -52,7 +52,7 @@ class NodeSet {
   bool empty() const { return count_ == 0; }
   int64_t count() const { return count_; }
 
-  /// Word-level read access (for freezing a set into a blob).
+  /// Word-level read access.
   const uint64_t* words() const { return words_.data(); }
   size_t num_words() const { return words_.size(); }
 

@@ -9,19 +9,17 @@ namespace mdatalog::runtime {
 util::Result<std::shared_ptr<const CachedDocument>> CachedDocument::Parse(
     std::string_view html, const std::string& project_attr) {
   MD_ASSIGN_OR_RETURN(html::Document doc, html::ParseHtml(html));
-  // Not make_shared: the constructor is private, and the TreeDatabase must
-  // be emplaced only once the trees sit at their final heap address.
+  // Not make_shared: the constructor is private.
   std::shared_ptr<CachedDocument> cached(
       new CachedDocument(std::move(doc)));
   if (!project_attr.empty()) {
     cached->tree_ =
         html::ProjectAttributeIntoLabels(*cached->doc_, project_attr);
   }
-  cached->edb_.emplace(cached->tree());
-  cached->static_bytes_ = static_cast<int64_t>(sizeof(CachedDocument)) +
-                          cached->doc_->tree().ApproxBytes();
+  cached->bytes_ = static_cast<int64_t>(sizeof(CachedDocument)) +
+                   cached->doc_->tree().ApproxBytes();
   if (cached->tree_.has_value()) {
-    cached->static_bytes_ += cached->tree_->ApproxBytes();
+    cached->bytes_ += cached->tree_->ApproxBytes();
   }
   return std::shared_ptr<const CachedDocument>(std::move(cached));
 }
@@ -31,14 +29,11 @@ std::shared_ptr<const CachedDocument> CachedDocument::FromFrozen(
     std::shared_ptr<const store::CorpusStore> store) {
   std::shared_ptr<CachedDocument> cached(new CachedDocument());
   cached->store_ = std::move(store);
-  cached->frozen_edb_ = frozen.edb;
   cached->tree_ = frozen.MakeTree();  // zero-copy columns into the mapping
-  // frozen_edb_ sits at its final address now; the database borrows it.
-  cached->edb_.emplace(*cached->tree_, &cached->frozen_edb_);
   // Only owned heap is charged — the mapped pages are shared with every
   // other consumer of the store and reclaimable by the kernel.
-  cached->static_bytes_ = static_cast<int64_t>(sizeof(CachedDocument)) +
-                          cached->tree_->ApproxBytes();
+  cached->bytes_ = static_cast<int64_t>(sizeof(CachedDocument)) +
+                   cached->tree_->ApproxBytes();
   return std::shared_ptr<const CachedDocument>(std::move(cached));
 }
 
@@ -131,12 +126,6 @@ DocumentCache::PrepareDocument(std::string_view html,
   }
   telemetry::TraceSpan span(telemetry::CurrentTrace(), "html.parse");
   return CachedDocument::Parse(html, project_attr);
-}
-
-void DocumentCache::Recharge(const Hash128& content_hash,
-                             const std::string& project_attr) {
-  Key key{content_hash, project_attr};
-  cache_.Recharge(key, KeyHash64(content_hash, project_attr));
 }
 
 DocumentCacheStats DocumentCache::stats() const {

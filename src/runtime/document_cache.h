@@ -7,7 +7,6 @@
 #include <string>
 #include <string_view>
 
-#include "src/core/database.h"
 #include "src/html/parser.h"
 #include "src/runtime/sharded_lfu_cache.h"
 #include "src/runtime/tenant.h"
@@ -22,9 +21,8 @@
 /// one fixed program over streams of documents, and the same document is
 /// typically requested many times (re-crawls, several wrappers on one page,
 /// retries). The cache parses each distinct page once and shares the
-/// immutable artifacts — HTML parse, attribute-projected tree, TreeDatabase
-/// EDB materializations — between all concurrent queries, keyed by content
-/// hash.
+/// immutable artifacts — HTML parse and attribute-projected tree — between
+/// all concurrent queries, keyed by content hash.
 ///
 /// The sharding / TinyLFU / byte-budget / fair-share machinery lives in
 /// ShardedLfuCache (sharded_lfu_cache.h — one template shared with the
@@ -43,8 +41,7 @@ using util::HashBytes128;
 
 /// One fully prepared, immutable document. Shared (shared_ptr const) between
 /// every query that hits the same content: the tree and parse are read-only,
-/// and the TreeDatabase's lazy EDB materialization is internally
-/// mutex-guarded, so concurrent evaluations are safe.
+/// so concurrent evaluations are safe.
 class CachedDocument {
  public:
   /// Parses `html`; if `project_attr` is non-empty, additionally projects
@@ -55,10 +52,9 @@ class CachedDocument {
 
   /// Rehydrates a document out of an open corpus store — no parsing: the
   /// tree columns and texts are read in place from the store's mapping (the
-  /// store stays alive via the held shared_ptr) and the unary EDB relations
-  /// load from the packed bit-arrays. Any projection was applied at pack
-  /// time. Store-backed documents carry no html::Document (has_html() is
-  /// false); wrappers only touch tree() and edb().
+  /// store stays alive via the held shared_ptr). Any projection was applied
+  /// at pack time. Store-backed documents carry no html::Document
+  /// (has_html() is false); wrappers only touch tree().
   static std::shared_ptr<const CachedDocument> FromFrozen(
       const store::FrozenDocument& frozen,
       std::shared_ptr<const store::CorpusStore> store);
@@ -71,17 +67,12 @@ class CachedDocument {
   const tree::Tree& tree() const {
     return tree_.has_value() ? *tree_ : doc_->tree();
   }
-  /// The shared relational view of tree(). Thread-safe lazy materialization.
-  const core::TreeDatabase& edb() const { return *edb_; }
-
-  /// Approximate heap footprint. Grows as evaluations materialize further
-  /// EDB relations; the cache refreshes its charge on every hit and on
-  /// Recharge. O(1): the immutable tree part is measured once at parse time
-  /// and the EDB keeps an incremental counter — no heap walk on the serving
-  /// hot path. Store-backed documents charge only their owned heap — the
-  /// mapped pages are shared and kernel-evictable, so the cache deliberately
-  /// leaves them off its budget.
-  int64_t ApproxBytes() const { return static_bytes_ + edb_->ApproxBytes(); }
+  /// Approximate heap footprint, measured once at construction: the document
+  /// is immutable, so this is the cache's final charge for it. Store-backed
+  /// documents charge only their owned heap — the mapped pages are shared
+  /// and kernel-evictable, so the cache deliberately leaves them off its
+  /// budget.
+  int64_t ApproxBytes() const { return bytes_; }
 
  private:
   CachedDocument() = default;
@@ -91,12 +82,8 @@ class CachedDocument {
   // The evaluation tree when it is not doc_'s raw parse tree: the
   // attribute-projected tree, or the zero-copy frozen tree.
   std::optional<tree::Tree> tree_;
-  // Emplaced after doc_/tree_ reach their final heap location (it holds
-  // a reference to tree()).
-  std::optional<core::TreeDatabase> edb_;
-  core::FrozenUnaryEdb frozen_edb_;  // referenced by edb_ when store-backed
   std::shared_ptr<const store::CorpusStore> store_;  // keepalive, may be null
-  int64_t static_bytes_ = 0;  // trees + parse, fixed after construction
+  int64_t bytes_ = 0;  // trees + parse, fixed after construction
 };
 
 struct DocumentCacheOptions {
@@ -168,14 +155,6 @@ class DocumentCache {
       std::string_view html, const std::string& project_attr,
       const Hash128& content_hash, telemetry::TraceSpan* span = nullptr,
       TenantId tenant = kDefaultTenant);
-
-  /// Re-reads the entry's ApproxBytes and re-balances its shard. Call after
-  /// an evaluation that may have materialized EDB relations: the byte charge
-  /// recorded at admission does not include lazily materialized relations,
-  /// and an entry that is never hit again would otherwise occupy budget the
-  /// shard does not know about. No-op if the key is absent (evicted or
-  /// rejected). Does not touch LRU order or hit/miss stats.
-  void Recharge(const Hash128& content_hash, const std::string& project_attr);
 
   /// Aggregated over all shards.
   DocumentCacheStats stats() const;

@@ -48,8 +48,12 @@
 ///
 /// The request surface is one value type: build a Request (page + wrapper +
 /// options) and hand it to Submit / SubmitBatch / SubmitStream, or wrap
-/// synchronously with Wrap(Request). The pre-Request entry points remain as
-/// deprecated shims for one release.
+/// synchronously with Wrap(Request).
+///
+/// The engine is a property of the program, not an option: wrappers whose
+/// Corollary 6.4 pipeline compiled (Elog⁻) replay their GroundPlan, and
+/// Elog⁻Δ wrappers, which have no datalog counterpart (Theorem 6.6), run on
+/// the native Elog evaluator.
 
 namespace mdatalog::stream {
 class StreamSession;  // stream_session.h includes runtime.h, not vice versa
@@ -88,25 +92,6 @@ struct RuntimeOptions {
   std::vector<TenantQuota> tenants;
   /// Priority-class deadline caps for over-quota tenants.
   QosOptions qos;
-
-  enum class EngineMode {
-    /// Grounded-datalog plan replay when the Corollary 6.4 pipeline
-    /// compiled, native Elog evaluation otherwise.
-    kAuto,
-    /// Always the native Elog evaluator (supports Elog⁻Δ).
-    kNativeElog,
-    /// Require the grounded plan; Wrap fails for programs without one.
-    kGroundedDatalog,
-    /// Semi-naive datalog over the document's shared TreeDatabase: the
-    /// cached EDB materializations (firstchild/nextsibling/label relations
-    /// and functional arrays) are built once per document and shared by
-    /// every query on it. Requires the datalog translation, like
-    /// kGroundedDatalog. Mainly for cross-engine checking and for workloads
-    /// where many programs hit one document (the EDB amortizes across
-    /// programs; a GroundPlan amortizes across documents).
-    kSemiNaiveDatalog,
-  };
-  EngineMode engine = EngineMode::kAuto;
 
   /// Observability: tracing + latency histograms. `telemetry.enabled = false`
   /// reduces the instrumentation to one branch per would-be span (no clock
@@ -202,9 +187,8 @@ struct RuntimeStats {
   int64_t memo_fair_share_rejects = 0;
   int64_t memo_bytes = 0;
   int64_t pages_wrapped = 0;       // full evaluations (memo hits excluded)
-  int64_t grounded_evals = 0;
-  int64_t seminaive_evals = 0;
-  int64_t native_evals = 0;
+  int64_t grounded_evals = 0;      // GroundPlan replays (Elog⁻ wrappers)
+  int64_t native_evals = 0;        // native Elog runs (Elog⁻Δ wrappers)
   int64_t deadline_exceeded = 0;   // requests unwound by their deadline
   int64_t cancelled = 0;           // requests unwound by their cancel token
   int64_t degraded = 0;            // requests admitted with a tightened
@@ -256,7 +240,7 @@ class WrapperRuntime {
   util::Result<std::string> Wrap(const Request& request) {
     return Wrap(request.wrapper, request.page.bytes(), request.options);
   }
-  /// Same, with the parts spelled out (the sync core the shims reuse).
+  /// Same, with the parts spelled out.
   util::Result<std::string> Wrap(const WrapperHandle& handle,
                                  std::string_view html,
                                  const RequestOptions& request = {});
@@ -283,21 +267,6 @@ class WrapperRuntime {
   /// is already expired.
   util::Result<std::unique_ptr<stream::StreamSession>> SubmitStream(
       const Request& request, stream::StreamOptions options);
-
-  /// Pre-Request entry points, kept one release for migration. They forward
-  /// to the Request surface verbatim.
-  [[deprecated("build a Request and call Submit(Request)")]]
-  std::future<util::Result<std::string>> Submit(const WrapperHandle& handle,
-                                                std::string html,
-                                                const RequestOptions& request);
-  [[deprecated("build Requests and call SubmitBatch")]]
-  std::vector<util::Result<std::string>> RunBatch(
-      const WrapperHandle& handle, const std::vector<std::string>& pages,
-      const RequestOptions& request = {});
-  [[deprecated("build a Request and call SubmitStream(Request, options)")]]
-  util::Result<std::unique_ptr<stream::StreamSession>> SubmitStream(
-      const WrapperHandle& handle, stream::StreamOptions options,
-      const RequestOptions& request);
 
   RuntimeStats stats() const;
   /// One tenant's QoS counters and cache slices. Unknown ids read as the
@@ -348,8 +317,9 @@ class WrapperRuntime {
                                      telemetry::TraceContext* trace,
                                      TenantId tenant);
 
-  /// The uncached evaluation core: engine selection + extent computation +
-  /// output construction over a prepared document. `control` may be null.
+  /// The uncached evaluation core over a prepared document: GroundPlan
+  /// replay when the program has one, native Elog otherwise, then output
+  /// construction. `control` may be null.
   util::Result<std::string> Evaluate(const CompiledWrapperProgram& program,
                                      const CachedDocument& doc,
                                      const util::EvalControl* control);
@@ -361,7 +331,6 @@ class WrapperRuntime {
   /// keep their own sharded counters; exports want one document).
   telemetry::MetricsSnapshot MetricsWithCacheStats() const;
 
-  const RuntimeOptions options_;
   // Before the caches and the pool: counter handles below point into the
   // registry, and pool workers record through them until the pool drains.
   telemetry::Telemetry telemetry_;
@@ -376,7 +345,6 @@ class WrapperRuntime {
   // scrape, so the two can never disagree.
   telemetry::Counter* const pages_wrapped_;
   telemetry::Counter* const grounded_evals_;
-  telemetry::Counter* const seminaive_evals_;
   telemetry::Counter* const native_evals_;
   telemetry::Counter* const deadline_exceeded_;
   telemetry::Counter* const cancelled_;

@@ -29,6 +29,7 @@
 #include "src/util/deadline.h"
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
+#include "tests/engine_oracle.h"
 
 namespace {
 
@@ -181,39 +182,46 @@ TEST(DocumentCacheTest, ZeroBudgetDisablesCaching) {
   EXPECT_EQ(cache.stats().entries, 0);
 }
 
-TEST(DocumentCacheTest, AccountsLateEdbMaterialization) {
-  runtime::DocumentCache cache(64 << 20);
-  std::string page = BoardPage(5, 3, 3);
-  auto doc = cache.GetOrParse(page, "");
-  ASSERT_TRUE(doc.ok());
-  const int64_t before = cache.stats().bytes_in_use;
-  // Touch EDB relations after admission — the charge must grow on next hit.
-  (void)(*doc)->edb().Get("firstchild", 2);
-  (void)(*doc)->edb().Get("nextsibling", 2);
-  (void)(*doc)->edb().Get("child", 2);
-  auto again = cache.GetOrParse(page, "");
-  ASSERT_TRUE(again.ok());
-  EXPECT_GT(cache.stats().bytes_in_use, before);
-}
+TEST(DocumentCacheTest, OversizedEntryIsDeclinedWithoutFlushingTheShard) {
+  // A page whose charge exceeds the whole shard budget can never fit. It is
+  // served uncached and booked as an admission reject; it must not evict the
+  // residents first and then overrun the budget anyway.
+  constexpr int64_t kBudget = 1 << 20;
+  const std::string big = CatalogPage(77, 1150);
+  auto probe = runtime::CachedDocument::Parse(big, "class");
+  ASSERT_TRUE(probe.ok());
+  ASSERT_GT((*probe)->ApproxBytes(), kBudget);
+  for (bool tinylfu : {false, true}) {
+    SCOPED_TRACE(tinylfu ? "tinylfu" : "plain lru");
+    runtime::DocumentCache cache(runtime::DocumentCacheOptions{
+        .cache = {.byte_budget = kBudget,
+                  .num_shards = 1,
+                  .tinylfu_admission = tinylfu},
+    });
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      ASSERT_TRUE(cache.GetOrParse(BoardPage(seed, 3, 3), "").ok());
+    }
+    ASSERT_EQ(cache.stats().entries, 5);
 
-TEST(DocumentCacheTest, RechargeAccountsMaterializationWithoutAHit) {
-  // The budget-honesty fix: an entry whose EDB materializes after admission
-  // must be rechargeable explicitly — a document evaluated once and never
-  // hit again would otherwise occupy bytes the shard doesn't know about.
-  runtime::DocumentCache cache(64 << 20);
-  std::string page = BoardPage(6, 3, 3);
-  const runtime::Hash128 hash = runtime::HashBytes128(page);
-  auto doc = cache.GetOrParse(page, "", hash);
-  ASSERT_TRUE(doc.ok());
-  const int64_t before = cache.stats().bytes_in_use;
-  (void)(*doc)->edb().Get("firstchild", 2);
-  (void)(*doc)->edb().Get("nextsibling", 2);
-  cache.Recharge(hash, "");
-  EXPECT_GT(cache.stats().bytes_in_use, before);
-  // No LRU/stat side effects: recharge is bookkeeping, not an access.
-  EXPECT_EQ(cache.stats().hits, 0);
-  // Recharging an absent key is a no-op.
-  cache.Recharge(runtime::HashBytes128("no such page"), "");
+    // Repeated requests raise the big page's sketch frequency above every
+    // resident's, so TinyLFU alone would let it in.
+    for (int i = 0; i < 3; ++i) {
+      auto doc = cache.GetOrParse(big, "class");
+      ASSERT_TRUE(doc.ok());
+      EXPECT_EQ((*doc)->tree().size(), (*probe)->tree().size());
+    }
+    auto stats = cache.stats();
+    EXPECT_EQ(stats.entries, 5);
+    EXPECT_EQ(stats.evictions, 0);
+    EXPECT_EQ(stats.admission_rejects, 3);
+    EXPECT_LE(stats.bytes_in_use, stats.byte_budget);
+
+    // The residents survived: every one of them hits.
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      ASSERT_TRUE(cache.GetOrParse(BoardPage(seed, 3, 3), "").ok());
+    }
+    EXPECT_EQ(cache.stats().hits, 5);
+  }
 }
 
 TEST(DocumentCacheTest, TinyLfuKeepsHotEntryAgainstColdScan) {
@@ -544,73 +552,55 @@ TEST(WrapperRuntimeTest, MatchesSequentialWrapperWithProjection) {
 }
 
 TEST(WrapperRuntimeTest, EnginesProduceIdenticalOutput) {
-  runtime::RuntimeOptions native_opts;
-  native_opts.engine = runtime::RuntimeOptions::EngineMode::kNativeElog;
-  native_opts.result_memo.byte_budget = 0;
-  runtime::RuntimeOptions grounded_opts;
-  grounded_opts.engine = runtime::RuntimeOptions::EngineMode::kGroundedDatalog;
-  grounded_opts.result_memo.byte_budget = 0;
-  runtime::RuntimeOptions seminaive_opts;
-  seminaive_opts.engine =
-      runtime::RuntimeOptions::EngineMode::kSemiNaiveDatalog;
-  seminaive_opts.result_memo.byte_budget = 0;
-  runtime::WrapperRuntime native(native_opts);
-  runtime::WrapperRuntime grounded(grounded_opts);
-  runtime::WrapperRuntime seminaive(seminaive_opts);
-  auto hn = native.Register(CatalogWrapper(), "class");
-  auto hg = grounded.Register(CatalogWrapper(), "class");
-  auto hs = seminaive.Register(CatalogWrapper(), "class");
-  ASSERT_TRUE(hn.ok());
-  ASSERT_TRUE(hg.ok());
-  ASSERT_TRUE(hs.ok());
-  // Two passes: the second pass hits the document cache, which re-reads
-  // each entry's byte charge — by then the semi-naive engine's shared EDB
-  // materializations from pass one are accounted.
+  runtime::RuntimeOptions opts;
+  opts.result_memo.byte_budget = 0;  // every Wrap must really evaluate
+  runtime::WrapperRuntime rt(opts);
+  auto handle = rt.Register(CatalogWrapper(), "class");
+  ASSERT_TRUE(handle.ok());
+  // Two passes: the second is served from the document cache.
   for (int pass = 0; pass < 2; ++pass) {
     for (uint64_t seed = 10; seed <= 14; ++seed) {
       std::string page = CatalogPage(seed, 8);
-      auto a = native.Wrap(*hn, page);
-      auto b = grounded.Wrap(*hg, page);
-      auto c = seminaive.Wrap(*hs, page);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      ASSERT_TRUE(c.ok());
-      EXPECT_EQ(*a, *b);
-      EXPECT_EQ(*a, *c);
+      auto got = rt.Wrap(*handle, page);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      oracle::ExpectMatchesOracles(*got, *handle->program,
+                                   oracle::PreparedTree(page, "class"),
+                                   "seed " + std::to_string(seed));
     }
   }
-  EXPECT_EQ(native.stats().native_evals, 10);
-  EXPECT_EQ(grounded.stats().grounded_evals, 10);
-  EXPECT_EQ(seminaive.stats().seminaive_evals, 10);
-  // The semi-naive engine runs over the cached documents' shared
-  // TreeDatabase — its EDB materializations must show up in the cache's
-  // byte accounting (the grounded replay walks the tree directly instead).
-  EXPECT_GT(seminaive.stats().document_cache.bytes_in_use,
-            grounded.stats().document_cache.bytes_in_use);
+  EXPECT_EQ(rt.stats().grounded_evals, 10);
+  EXPECT_EQ(rt.stats().document_cache.hits, 5);
 }
 
-TEST(WrapperRuntimeTest, GroundedModeFailsForDeltaBuiltins) {
+TEST(WrapperRuntimeTest, EngineIsChosenByProgram) {
+  // An Elog⁻Δ wrapper has no datalog translation, hence no plan: it runs on
+  // the native engine and bumps only native_evals.
   auto program = elog::ParseElog(
       "a0(X) <- root(R), subelem(R, \"a\", X), notafter(R, \"a\", X).\n");
   ASSERT_TRUE(program.ok());
-  wrapper::Wrapper w;
-  w.program = *program;
-  w.extraction_patterns = {"a0"};
+  wrapper::Wrapper delta;
+  delta.program = *program;
+  delta.extraction_patterns = {"a0"};
+  const std::string page = "<html><a>x</a></html>";
 
-  runtime::RuntimeOptions opts;
-  opts.engine = runtime::RuntimeOptions::EngineMode::kGroundedDatalog;
-  runtime::WrapperRuntime rt(opts);
-  auto handle = rt.Register(w);
-  ASSERT_TRUE(handle.ok());  // registration succeeds (native still works)
-  EXPECT_FALSE(rt.Wrap(*handle, "<a>x</a>").ok());
-
-  // kAuto serves the same wrapper through the native engine.
-  runtime::WrapperRuntime rt_auto;
-  auto h2 = rt_auto.Register(w);
-  ASSERT_TRUE(h2.ok());
-  auto got = rt_auto.Wrap(*h2, "<html><a>x</a></html>");
+  runtime::WrapperRuntime rt;
+  auto h_delta = rt.Register(delta);
+  ASSERT_TRUE(h_delta.ok());
+  EXPECT_FALSE(h_delta->program->has_ground_plan);
+  auto got = rt.Wrap(*h_delta, page);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(*got, SequentialXml(w, "<html><a>x</a></html>", ""));
+  EXPECT_EQ(*got, SequentialXml(delta, page, ""));
+  EXPECT_EQ(rt.stats().native_evals, 1);
+  EXPECT_EQ(rt.stats().grounded_evals, 0);
+
+  // An Elog⁻ wrapper has a plan: it replays it and bumps only
+  // grounded_evals.
+  auto h_plan = rt.Register(BoardWrapper());
+  ASSERT_TRUE(h_plan.ok());
+  EXPECT_TRUE(h_plan->program->has_ground_plan);
+  ASSERT_TRUE(rt.Wrap(*h_plan, page).ok());
+  EXPECT_EQ(rt.stats().native_evals, 1);
+  EXPECT_EQ(rt.stats().grounded_evals, 1);
 }
 
 TEST(WrapperRuntimeTest, MemoServesIdenticalBytesAndCounts) {

@@ -1,7 +1,8 @@
 // The corpus store: pack → save → mmap-open → serve must be byte-identical
 // to parsing, corrupt bytes must surface as typed errors (never as wrong
 // answers or crashes), and a store-backed runtime must produce exactly the
-// XML a parse-every-time runtime produces — under every engine mode.
+// XML a parse-every-time runtime produces — and the native and semi-naive
+// engine oracles produce over the frozen trees.
 
 #include <cstdio>
 #include <fstream>
@@ -11,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/database.h"
 #include "src/elog/ast.h"
 #include "src/html/parser.h"
 #include "src/html/synthetic.h"
@@ -25,6 +25,7 @@
 #include "src/util/rng.h"
 #include "src/util/status.h"
 #include "src/wrapper/wrapper.h"
+#include "tests/engine_oracle.h"
 
 namespace {
 
@@ -130,37 +131,6 @@ TEST(CorpusStoreTest, RoundTripsTreesByteForByte) {
             util::StatusCode::kNotFound);
 }
 
-TEST(CorpusStoreTest, FrozenEdbMatchesScannedEdb) {
-  const std::string path = TempPath("edb.mdcs");
-  auto store = BuildAndOpen(path, 1, "class");
-  const std::string page = CatalogPage(100, 8);
-  auto frozen = store->Find(util::HashBytes128(page), "class");
-  ASSERT_TRUE(frozen.ok());
-
-  const tree::Tree frozen_tree = frozen->MakeTree();
-  core::TreeDatabase from_bits(frozen_tree, &frozen->edb);
-
-  auto doc = html::ParseHtml(page);
-  ASSERT_TRUE(doc.ok());
-  const tree::Tree scanned_tree =
-      html::ProjectAttributeIntoLabels(*doc, "class");
-  core::TreeDatabase from_scan(scanned_tree);
-
-  std::vector<std::string> preds = {"root", "leaf", "lastsibling",
-                                    "firstsibling"};
-  for (int32_t id = 0; id < scanned_tree.labels().size(); ++id) {
-    preds.push_back(core::LabelPredName(scanned_tree.labels().Name(id)));
-  }
-  preds.push_back("label_no_such_label");
-  for (const std::string& pred : preds) {
-    const core::Relation* a = from_bits.Get(pred, 1);
-    const core::Relation* b = from_scan.Get(pred, 1);
-    ASSERT_TRUE(a != nullptr && b != nullptr) << pred;
-    EXPECT_EQ(a->unary_tuples(), b->unary_tuples()) << pred;
-    EXPECT_EQ(a->unary_set().count(), b->unary_set().count()) << pred;
-  }
-}
-
 TEST(CorpusStoreTest, DedupsAndReplacesByContentAndAttr) {
   store::CorpusStore::Builder b;
   const std::string page = CatalogPage(1, 6);
@@ -249,7 +219,7 @@ TEST(CorpusStoreTest, MissingFileIsInvalidArgument) {
 }
 
 // ---------------------------------------------------------------------------
-// Runtime integration: snapshot-served == parse-served, all engines
+// Runtime integration: snapshot-served == parse-served == engine oracles
 // ---------------------------------------------------------------------------
 
 TEST(CorpusStoreRuntimeTest, SnapshotServingIsByteIdenticalAcrossEngines) {
@@ -265,32 +235,32 @@ TEST(CorpusStoreRuntimeTest, SnapshotServingIsByteIdenticalAcrossEngines) {
   auto store = store::CorpusStore::Open(path);
   ASSERT_TRUE(store.ok());
 
-  using Engine = runtime::RuntimeOptions::EngineMode;
-  for (Engine engine : {Engine::kNativeElog, Engine::kGroundedDatalog,
-                        Engine::kSemiNaiveDatalog}) {
-    runtime::RuntimeOptions plain_opts;
-    plain_opts.engine = engine;
-    plain_opts.result_memo.byte_budget = 0;  // compare evaluations, not memo hits
-    runtime::WrapperRuntime plain(plain_opts);
+  runtime::RuntimeOptions plain_opts;
+  plain_opts.result_memo.byte_budget = 0;  // compare evaluations, not memo hits
+  runtime::WrapperRuntime plain(plain_opts);
 
-    runtime::RuntimeOptions stored_opts = plain_opts;
-    stored_opts.corpus_store = *store;
-    runtime::WrapperRuntime stored(stored_opts);
+  runtime::RuntimeOptions stored_opts = plain_opts;
+  stored_opts.corpus_store = *store;
+  runtime::WrapperRuntime stored(stored_opts);
 
-    auto plain_handle = plain.Register(CatalogWrapper(), "class");
-    auto stored_handle = stored.Register(CatalogWrapper(), "class");
-    ASSERT_TRUE(plain_handle.ok() && stored_handle.ok());
+  auto plain_handle = plain.Register(CatalogWrapper(), "class");
+  auto stored_handle = stored.Register(CatalogWrapper(), "class");
+  ASSERT_TRUE(plain_handle.ok() && stored_handle.ok());
 
-    for (const std::string& page : pages) {
-      auto want = plain.Wrap(*plain_handle, page);
-      auto got = stored.Wrap(*stored_handle, page);
-      ASSERT_TRUE(want.ok() && got.ok());
-      EXPECT_EQ(*want, *got);  // byte-identical extraction output
-    }
-    // Every page was served out of the snapshot, none was parsed.
-    EXPECT_EQ(stored.stats().document_cache.store_hits, kPages);
-    EXPECT_EQ(plain.stats().document_cache.store_hits, 0);
+  for (const std::string& page : pages) {
+    auto want = plain.Wrap(*plain_handle, page);
+    auto got = stored.Wrap(*stored_handle, page);
+    ASSERT_TRUE(want.ok() && got.ok());
+    EXPECT_EQ(*want, *got);  // byte-identical extraction output
+    // Both engine oracles, run directly on the frozen tree, agree.
+    auto frozen = (*store)->Find(util::HashBytes128(page), "class");
+    ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
+    oracle::ExpectMatchesOracles(*got, *stored_handle->program,
+                                 frozen->MakeTree());
   }
+  // Every page was served out of the snapshot, none was parsed.
+  EXPECT_EQ(stored.stats().document_cache.store_hits, kPages);
+  EXPECT_EQ(plain.stats().document_cache.store_hits, 0);
 }
 
 TEST(CorpusStoreRuntimeTest, FallsBackToParsingOnStoreMiss) {
@@ -357,8 +327,6 @@ TEST(CorpusStoreRuntimeTest, ConcurrentReadersShareOneMapping) {
               (*store)->Find(util::HashBytes128(pages[pi]), "class");
           if (!frozen.ok()) { ++failures[ti]; continue; }
           const tree::Tree t = frozen->MakeTree();
-          core::TreeDatabase edb(t, &frozen->edb);
-          (void)edb.Get("leaf", 1);
           auto out = wrapper::WrapTree(w, t);
           if (!out.ok() || tree::ToXml(*out) != expected[pi]) ++failures[ti];
         }

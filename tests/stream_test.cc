@@ -4,8 +4,9 @@
 // every input under every chunking (whole page, one byte at a time, random
 // boundaries, adversarial mid-tag / mid-attribute / mid-entity splits) the
 // streaming session's Finish() XML is byte-identical to batch
-// WrapperRuntime::Wrap on the concatenated bytes, under every engine mode,
-// and the results emitted before EOF are exactly the batch extents.
+// WrapperRuntime::Wrap on the concatenated bytes — itself held against the
+// native and semi-naive engine oracles — and the results emitted before EOF
+// are exactly the batch extents.
 
 #include <algorithm>
 #include <chrono>
@@ -31,6 +32,7 @@
 #include "src/util/deadline.h"
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
+#include "tests/engine_oracle.h"
 
 namespace {
 
@@ -212,19 +214,6 @@ std::string StrCat(const std::vector<std::string>& chunks) {
   return out;
 }
 
-/// Batch XML under one engine mode, via the full runtime (caches and all).
-util::Result<std::string> BatchXml(runtime::RuntimeOptions::EngineMode mode,
-                                   const wrapper::Wrapper& w,
-                                   const std::string& attr,
-                                   const std::string& page) {
-  runtime::RuntimeOptions options;
-  options.engine = mode;
-  runtime::WrapperRuntime rt(options);
-  auto handle = rt.Register(w, attr);
-  EXPECT_TRUE(handle.ok());
-  return rt.Wrap(*handle, page);
-}
-
 /// The expected extraction extents (external node ids) via the native
 /// evaluator over the batch-parsed, batch-projected tree.
 std::set<std::pair<std::string, tree::NodeId>> BatchExtents(
@@ -319,8 +308,8 @@ TEST(StreamTokenizerTest, ChunkingNeverChangesTheTokenStream) {
 }
 
 // ---------------------------------------------------------------------------
-// The differential harness (tentpole): streaming ≡ batch, all engines, all
-// chunkings
+// The differential harness (tentpole): streaming ≡ batch ≡ engine oracles,
+// all chunkings
 // ---------------------------------------------------------------------------
 
 struct DifferentialCase {
@@ -348,36 +337,22 @@ TEST(StreamDifferentialTest, StreamingIsByteIdenticalToBatchEverywhere) {
     const DifferentialCase& c = cases[ci];
     const std::string context = "case " + std::to_string(ci);
 
-    // Batch oracle, and the engines' own cross-agreement: streaming equals
-    // *the* batch answer, not one engine's quirk.
-    auto auto_xml =
-        BatchXml(runtime::RuntimeOptions::EngineMode::kAuto, c.wrapper, c.attr, c.page);
-    auto native_xml = BatchXml(runtime::RuntimeOptions::EngineMode::kNativeElog,
-                               c.wrapper, c.attr, c.page);
-    ASSERT_TRUE(auto_xml.ok()) << context;
-    ASSERT_TRUE(native_xml.ok()) << context;
-    EXPECT_EQ(*auto_xml, *native_xml) << context;
-
-    runtime::RuntimeOptions rt_options;
-    runtime::WrapperRuntime rt(rt_options);
+    // Batch answer, and its agreement with the engine oracles: streaming
+    // equals *the* batch answer, not one engine's quirk.
+    runtime::WrapperRuntime rt;
     auto handle = rt.Register(c.wrapper, c.attr);
     ASSERT_TRUE(handle.ok()) << context;
-    if (handle->program->has_ground_plan) {
-      auto grounded = BatchXml(runtime::RuntimeOptions::EngineMode::kGroundedDatalog,
-                               c.wrapper, c.attr, c.page);
-      auto seminaive = BatchXml(runtime::RuntimeOptions::EngineMode::kSemiNaiveDatalog,
-                                c.wrapper, c.attr, c.page);
-      ASSERT_TRUE(grounded.ok()) << context;
-      ASSERT_TRUE(seminaive.ok()) << context;
-      EXPECT_EQ(*auto_xml, *grounded) << context;
-      EXPECT_EQ(*auto_xml, *seminaive) << context;
-    }
+    auto batch_xml = rt.Wrap(*handle, c.page);
+    ASSERT_TRUE(batch_xml.ok()) << context;
+    oracle::ExpectMatchesOracles(*batch_xml, *handle->program,
+                                 oracle::PreparedTree(c.page, c.attr),
+                                 context);
 
     const auto extents = BatchExtents(c.wrapper, c.attr, c.page);
     const bool small = c.page.size() <= 4096;
     const auto chunkings = Chunkings(c.page, 7000 + ci, small);
     for (size_t ki = 0; ki < chunkings.size(); ++ki) {
-      CheckOneChunking(rt, *handle, chunkings[ki], *auto_xml, extents,
+      CheckOneChunking(rt, *handle, chunkings[ki], *batch_xml, extents,
                        context + " chunking " + std::to_string(ki));
     }
   }
