@@ -9,6 +9,7 @@
 #include "src/core/database.h"
 #include "src/core/eval.h"
 #include "src/telemetry/trace.h"
+#include "src/tree/binary.h"
 #include "src/util/check.h"
 
 namespace mdatalog::analysis {
@@ -364,16 +365,19 @@ tree::Tree DecodeTree(const Encoder& enc, const std::vector<TemplateNode>& tmpl,
     }
     return symbols.back();  // unreachable under exactly-one; defensive
   };
-  tree::TreeBuilder builder;
-  (*node_map)[0] = builder.Root(symbol_of(0));
-  // Template ids are BFS order, so parents precede children.
-  for (size_t n = 1; n < tmpl.size(); ++n) {
-    if (!sat.ModelValue(enc.e(static_cast<int32_t>(n)))) continue;
-    tree::NodeId parent = (*node_map)[tmpl[n].parent];
-    MD_CHECK(parent != tree::kNoNode);
-    (*node_map)[n] = builder.Child(parent, symbol_of(static_cast<int32_t>(n)));
-  }
-  return builder.Build();
+  // Template ids are BFS order. Existence is closed under parents and
+  // left-packed among siblings, so present links reach every present node.
+  const auto present = [&](int32_t n) {
+    return n >= 0 && sat.ModelValue(enc.e(n)) ? n : tree::kNoNode;
+  };
+  tree::NodeId next_id = 0;
+  return tree::DecodeFirstChildNextSibling(
+      0, [&](int32_t n) { return present(tmpl[n].first_child); },
+      [&](int32_t n) { return present(tmpl[n].next_sibling); },
+      [&](int32_t n) -> const std::string& {
+        (*node_map)[n] = next_id++;
+        return symbol_of(n);
+      });
 }
 
 util::Status VerifyWitness(const core::Program& p, const core::Program& q,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "src/core/simd_kernels.h"
@@ -33,19 +32,6 @@ class NodeSet {
     domain_size_ = domain_size;
     count_ = 0;
     words_.assign((static_cast<size_t>(domain_size) + 63) / 64, 0);
-  }
-
-  /// Resizes to `domain_size` and loads the membership words from `words`
-  /// ((domain_size+63)/64 of them) — the bulk path for a packed bit-array.
-  /// Trailing bits past domain_size must be zero.
-  void AssignWords(const uint64_t* words, int32_t domain_size) {
-    MD_DCHECK(domain_size >= 0);
-    domain_size_ = domain_size;
-    words_.resize((static_cast<size_t>(domain_size) + 63) / 64);
-    if (!words_.empty()) {
-      std::memcpy(words_.data(), words, words_.size() * sizeof(uint64_t));
-    }
-    count_ = simd::Count(words_.data(), words_.size());
   }
 
   int32_t domain_size() const { return domain_size_; }

@@ -53,8 +53,7 @@ class ElogEvaluator {
         validate_(validate),
         patterns_(patterns),
         control_(control),
-        ticker_(control),
-        ranks_(t.PreorderRanks()) {
+        ticker_(control) {
     extents_["root"] = std::set<NodeId>{t.root()};
   }
 
@@ -223,8 +222,9 @@ class ElogEvaluator {
               "notafter/notbefore require bound variables");
         }
         for (NodeId u : PathTargets(t_, src, c.path)) {
-          if (c.kind == K::kNotAfter && ranks_[y] > ranks_[u]) return false;
-          if (c.kind == K::kNotBefore && ranks_[y] < ranks_[u]) return false;
+          // NodeId order is document order (tree.h).
+          if (c.kind == K::kNotAfter && y > u) return false;
+          if (c.kind == K::kNotBefore && y < u) return false;
         }
         return CheckConditions(rule, binding, i + 1);
       }
@@ -281,7 +281,6 @@ class ElogEvaluator {
   const std::vector<std::string>* patterns_;  // nullable
   const util::EvalControl* control_;          // nullable
   util::EvalTicker ticker_;
-  std::vector<int32_t> ranks_;
   std::map<std::string, std::set<NodeId>> extents_;
 };
 

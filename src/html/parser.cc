@@ -1,7 +1,6 @@
 #include "src/html/parser.h"
 
 #include <algorithm>
-#include <functional>
 #include <set>
 
 #include "src/html/tokenizer.h"
@@ -123,17 +122,12 @@ util::Result<Document> ParseHtml(std::string_view html) {
   if (full.size() == 1) {
     return util::Status::InvalidArgument("no content in HTML input");
   }
-  // Strip the synthetic root when the document has a unique top-level node
-  // (node ids shift down by one: the builder appends in document order, so
-  // the preorder copy renumbers node k to k-1).
+  // Strip the synthetic root when the document has a unique top-level node.
+  // That node is node 1 and its subtree is every node but the root (NodeId
+  // order is document order, see tree.h), so every id shifts down by one.
   if (full.NumChildren(full.root()) == 1) {
-    std::vector<tree::NodeId> src_of_dst;
-    tree::Tree stripped =
-        tree::CopySubtree(full, full.first_child(full.root()), &src_of_dst);
-    std::vector<std::vector<std::pair<std::string, std::string>>> new_attrs;
-    new_attrs.reserve(src_of_dst.size());
-    for (tree::NodeId src : src_of_dst) new_attrs.push_back(attrs[src]);
-    return Document(std::move(stripped), std::move(new_attrs));
+    attrs.erase(attrs.begin());
+    return Document(tree::CopySubtree(full, 1), std::move(attrs));
   }
   return Document(std::move(full), std::move(attrs));
 }
@@ -142,21 +136,14 @@ tree::Tree ProjectAttributeIntoLabels(const Document& doc,
                                       const std::string& attr) {
   const tree::Tree& t = doc.tree();
   tree::TreeBuilder builder;
-  std::function<void(tree::NodeId, tree::NodeId)> copy =
-      [&](tree::NodeId src, tree::NodeId dst_parent) {
-        std::string label = t.label_name(src);
-        std::string value = doc.GetAttr(src, attr);
-        if (!value.empty()) label += "@" + value;
-        tree::NodeId dst = dst_parent == tree::kNoNode
-                               ? builder.Root(label)
-                               : builder.Child(dst_parent, label);
-        if (t.HasText(src)) builder.SetText(dst, t.text(src));
-        for (tree::NodeId c = t.first_child(src); c != tree::kNoNode;
-             c = t.next_sibling(c)) {
-          copy(c, dst);
-        }
-      };
-  copy(t.root(), tree::kNoNode);
+  for (tree::NodeId n = 0; n < t.size(); ++n) {
+    std::string label = t.label_name(n);
+    std::string value = doc.GetAttr(n, attr);
+    if (!value.empty()) label += "@" + value;
+    const tree::NodeId dst =
+        n == 0 ? builder.Root(label) : builder.Child(t.parent(n), label);
+    if (t.HasText(n)) builder.SetText(dst, t.text(n));
+  }
   return builder.Build();
 }
 

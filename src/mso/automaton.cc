@@ -274,14 +274,12 @@ util::Result<std::vector<int32_t>> ClassOfNodes(
 namespace {
 
 /// Bottom-up states with all mark bits 0. Children in the *binary encoding*:
-/// left = first child, right = next sibling, so states are computed in
-/// reverse document order.
+/// left = first child, right = next sibling — both later in document order,
+/// so states are computed in decreasing NodeId order.
 std::vector<BtaState> BottomUpStates(const Bta& a, const tree::Tree& t,
                                      const std::vector<int32_t>& class_of) {
   std::vector<BtaState> state(t.size(), kAbsent);
-  std::vector<tree::NodeId> order = t.Preorder();
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    tree::NodeId n = *it;
+  for (tree::NodeId n = t.size() - 1; n >= 0; --n) {
     BtaState l = t.first_child(n) == tree::kNoNode ? kAbsent
                                                    : state[t.first_child(n)];
     BtaState r = t.next_sibling(n) == tree::kNoNode
@@ -318,8 +316,7 @@ util::Result<std::vector<tree::NodeId>> BtaUnaryQuery(
       t.size(), std::vector<bool>(a.num_states, false));
   ctx[t.root()] = std::vector<bool>(a.finals.begin(), a.finals.end());
 
-  std::vector<tree::NodeId> order = t.Preorder();
-  for (tree::NodeId v : order) {
+  for (tree::NodeId v = 0; v < t.size(); ++v) {
     tree::NodeId l = t.first_child(v);
     tree::NodeId r = t.next_sibling(v);
     int32_t sym0 = a.Sym(class_of[v], 0);
@@ -333,10 +330,8 @@ util::Result<std::vector<tree::NodeId>> BtaUnaryQuery(
         ctx[r][q] = true;
       }
     }
-    // Note: ctx[l]/ctx[r] accumulate from a single parent only (binary
-    // encoding is a tree), and v precedes l and r in preorder... l is v's
-    // first child (preorder-after v) and r is v's next sibling
-    // (preorder-after v's whole subtree): both visited later. ✓
+    // ctx[l]/ctx[r] accumulate from a single binary parent (the encoding is
+    // a tree), and both l and r have larger ids than v: visited later.
   }
 
   std::vector<tree::NodeId> selected;

@@ -446,6 +446,14 @@ util::Result<FrozenDocument> CorpusStore::Materialize(
   doc.label_base =
       reinterpret_cast<const char*>(label_offsets + h.num_labels + 1);
   doc.num_labels = static_cast<int32_t>(h.num_labels);
+  // The checksum is unkeyed, so a forged blob passes it: check the columns
+  // themselves before any accessor takes a difference of two offsets.
+  for (uint64_t id = 0; id < labels; ++id) {
+    if (label_offsets[id] > label_offsets[id + 1]) return corrupt("labels");
+  }
+  const util::Status structure =
+      tree::CheckStructure(doc.view, doc.num_labels);
+  if (!structure.ok()) return corrupt(structure.message().c_str());
   return doc;
 }
 

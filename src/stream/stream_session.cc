@@ -13,27 +13,6 @@ namespace mdatalog::stream {
 
 namespace {
 
-/// Document-order subtree text over a partially-built tree; must concatenate
-/// exactly like Tree::SubtreeText (preorder) so emitted texts match what the
-/// finished tree reports. Iterative: fuzzed inputs nest arbitrarily deep.
-std::string SubtreeTextOf(const tree::TreeBuilder& b, tree::NodeId n) {
-  std::string out;
-  std::vector<tree::NodeId> stack = {n};
-  while (!stack.empty()) {
-    const tree::NodeId m = stack.back();
-    stack.pop_back();
-    out += b.text(m);
-    // Preorder via a LIFO stack: children push right-to-left.
-    std::vector<tree::NodeId> children;
-    for (tree::NodeId c = b.first_child(m); c != tree::kNoNode;
-         c = b.next_sibling(c)) {
-      children.push_back(c);
-    }
-    stack.insert(stack.end(), children.rbegin(), children.rend());
-  }
-  return out;
-}
-
 /// The label a node gets under attribute projection (Remark 2.2): the first
 /// occurrence of `attr` wins, and only a non-empty value projects — exactly
 /// ProjectAttributeIntoLabels' behavior, applied at creation time instead of
@@ -450,7 +429,10 @@ void StreamSession::EmitResult(int32_t pattern_index, tree::NodeId node) {
   StreamResult result;
   result.pattern = program_->prepared.extraction_patterns[pattern_index];
   result.label = builder_.label_name(node);
-  result.text = SubtreeTextOf(builder_, node);
+  // The node's subtree has closed: it is the id range [node, last] of the
+  // partial tree, concatenated exactly like Tree::SubtreeText.
+  const tree::NodeId last = tree::LastDescendant(builder_, node);
+  for (tree::NodeId m = node; m <= last; ++m) result.text += builder_.text(m);
   result.node = node;
   options_.on_result(result);
 }
@@ -521,6 +503,8 @@ util::Result<std::string> StreamSession::FinishImpl() {
   elog::ElogResult matches;
   const auto& patterns = program_->prepared.extraction_patterns;
   if (incremental_) {
+    // Stripping the root renumbers node m to m - 1 (CopySubtree over the id
+    // range of node 1; see tree.h).
     const int32_t shift = stripped_ ? 1 : 0;
     for (size_t i = 0; i < patterns.size(); ++i) {
       const core::PredId pred = program_->pattern_preds[i];

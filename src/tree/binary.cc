@@ -1,7 +1,5 @@
 #include "src/tree/binary.h"
 
-#include <functional>
-
 namespace mdatalog::tree {
 
 BinaryTree EncodeFirstChildNextSibling(const Tree& t) {
@@ -17,27 +15,29 @@ BinaryTree EncodeFirstChildNextSibling(const Tree& t) {
 }
 
 util::Result<Tree> DecodeFirstChildNextSibling(const BinaryTree& b) {
-  if (b.root == kNoNode || b.nodes.empty()) {
+  if (b.root < 0 || static_cast<size_t>(b.root) >= b.nodes.size()) {
     return util::Status::InvalidArgument("empty binary tree");
   }
   if (b.nodes[b.root].right != kNoNode) {
     return util::Status::InvalidArgument(
         "root of a firstchild/nextsibling encoding must have no right child");
   }
-  TreeBuilder builder;
-  // Rebuild in document order: left child = first child, then follow the
-  // right-spine of that child for its siblings.
-  std::function<void(NodeId, NodeId)> attach_children =
-      [&](NodeId src, NodeId built_parent) {
-        for (NodeId c = b.nodes[src].left; c != kNoNode;
-             c = b.nodes[c].right) {
-          NodeId built = builder.Child(built_parent, b.nodes[c].label);
-          attach_children(c, built);
-        }
-      };
-  NodeId built_root = builder.Root(b.nodes[b.root].label);
-  attach_children(b.root, built_root);
-  return builder.Build();
+  // In-range links, none shared: then the links below the root form a tree.
+  std::vector<bool> linked(b.nodes.size(), false);
+  linked[b.root] = true;
+  for (const BinaryTree::BNode& node : b.nodes) {
+    for (NodeId to : {node.left, node.right}) {
+      if (to == kNoNode) continue;
+      if (to < 0 || static_cast<size_t>(to) >= linked.size() || linked[to]) {
+        return util::Status::InvalidArgument("binary tree links form no tree");
+      }
+      linked[to] = true;
+    }
+  }
+  return DecodeFirstChildNextSibling(
+      b.root, [&](NodeId s) { return b.nodes[s].left; },
+      [&](NodeId s) { return b.nodes[s].right; },
+      [&](NodeId s) -> const std::string& { return b.nodes[s].label; });
 }
 
 std::string ToDebugString(const BinaryTree& b) {

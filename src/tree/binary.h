@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/tree/tree.h"
@@ -33,8 +34,33 @@ struct BinaryTree {
 BinaryTree EncodeFirstChildNextSibling(const Tree& t);
 
 /// Decodes a binary tree back to the unranked original. Fails if the root has
-/// a right child (the root of a valid encoding has no next sibling).
+/// a right child (the root of a valid encoding has no next sibling), if a link
+/// is out of range, or if a node is linked to twice.
 util::Result<Tree> DecodeFirstChildNextSibling(const BinaryTree& b);
+
+/// The same decode over any linked source (ids not in document order, links
+/// forming a tree below `root`). `label(s)` runs once per node in document
+/// order, so node k of the result is the k-th node labeled. Iterative.
+template <typename FirstChild, typename NextSibling, typename Label>
+Tree DecodeFirstChildNextSibling(NodeId root, FirstChild first_child,
+                                 NextSibling next_sibling, Label label) {
+  TreeBuilder builder;
+  std::vector<std::pair<NodeId, NodeId>> pending;  // (source, built parent)
+  const NodeId built_root = builder.Root(label(root));
+  if (first_child(root) != kNoNode) {
+    pending.emplace_back(first_child(root), built_root);
+  }
+  while (!pending.empty()) {
+    const auto [src, parent] = pending.back();
+    pending.pop_back();
+    const NodeId built = builder.Child(parent, label(src));
+    // The first child is visited next; the next sibling waits below it.
+    const NodeId sibling = next_sibling(src), child = first_child(src);
+    if (sibling != kNoNode) pending.emplace_back(sibling, parent);
+    if (child != kNoNode) pending.emplace_back(child, built);
+  }
+  return builder.Build();
+}
 
 /// Renders the encoding as lines "n1 -fc-> n2", "n2 -ns-> n3", ... in id order
 /// (used by the quickstart example to reproduce Figure 1).

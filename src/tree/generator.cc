@@ -1,6 +1,6 @@
 #include "src/tree/generator.h"
 
-#include <functional>
+#include "src/tree/binary.h"
 
 namespace mdatalog::tree {
 
@@ -12,16 +12,38 @@ const std::string& PickLabel(util::Rng& rng,
   return labels[rng.Below(labels.size())];
 }
 
+/// Builds the tree with parent table `parent` (parent[i] < i; siblings in
+/// id order) in document order, drawing each non-root label as its node is
+/// created.
+Tree BuildFromParents(util::Rng& rng, const std::vector<int32_t>& parent,
+                      const std::vector<std::string>& labels,
+                      const std::string& root_label) {
+  const auto n = static_cast<NodeId>(parent.size());
+  std::vector<NodeId> first(n, kNoNode), last(n, kNoNode), next(n, kNoNode);
+  for (NodeId i = 1; i < n; ++i) {
+    const NodeId p = parent[i];
+    if (last[p] == kNoNode) {
+      first[p] = i;
+    } else {
+      next[last[p]] = i;
+    }
+    last[p] = i;
+  }
+  return DecodeFirstChildNextSibling(
+      0, [&](NodeId s) { return first[s]; }, [&](NodeId s) { return next[s]; },
+      [&](NodeId s) -> const std::string& {
+        return s == 0 ? root_label : PickLabel(rng, labels);
+      });
+}
+
 }  // namespace
 
 Tree RandomTree(util::Rng& rng, int32_t num_nodes,
                 const std::vector<std::string>& labels, bool depth_bias) {
   MD_CHECK(num_nodes >= 1);
-  TreeBuilder b;
-  b.Root(PickLabel(rng, labels));
-  // To keep construction in document order, parents must only ever be the
-  // most recent node on the current rightmost path... that would restrict
-  // shapes. Instead we generate a parent array first, then build recursively.
+  const std::string& root_label = PickLabel(rng, labels);
+  // Drawing parents straight into a TreeBuilder would restrict them to the
+  // rightmost path; a parent table first allows every shape.
   std::vector<int32_t> parent(num_nodes, -1);
   for (int32_t i = 1; i < num_nodes; ++i) {
     if (depth_bias && i > 1 && rng.Chance(2, 3)) {
@@ -31,17 +53,7 @@ Tree RandomTree(util::Rng& rng, int32_t num_nodes,
       parent[i] = static_cast<int32_t>(rng.Below(i));
     }
   }
-  std::vector<std::vector<int32_t>> kids(num_nodes);
-  for (int32_t i = 1; i < num_nodes; ++i) kids[parent[i]].push_back(i);
-  // Build depth-first so ids are in document order.
-  std::function<void(int32_t, NodeId)> attach = [&](int32_t src, NodeId dst) {
-    for (int32_t k : kids[src]) {
-      NodeId built = b.Child(dst, PickLabel(rng, labels));
-      attach(k, built);
-    }
-  };
-  attach(0, 0);
-  return b.Build();
+  return BuildFromParents(rng, parent, labels, root_label);
 }
 
 Tree RandomBoundedArityTree(util::Rng& rng, int32_t num_nodes,
@@ -61,33 +73,17 @@ Tree RandomBoundedArityTree(util::Rng& rng, int32_t num_nodes,
     }
     open.push_back(i);
   }
-  std::vector<std::vector<int32_t>> kids(num_nodes);
-  for (int32_t i = 1; i < num_nodes; ++i) kids[parent[i]].push_back(i);
-  TreeBuilder b;
-  b.Root(PickLabel(rng, labels));
-  std::function<void(int32_t, NodeId)> attach = [&](int32_t src, NodeId dst) {
-    for (int32_t k : kids[src]) {
-      NodeId built = b.Child(dst, PickLabel(rng, labels));
-      attach(k, built);
-    }
-  };
-  attach(0, 0);
-  return b.Build();
+  return BuildFromParents(rng, parent, labels, PickLabel(rng, labels));
 }
 
 Tree CompleteBinaryTree(int32_t depth, const std::string& label) {
-  MD_CHECK(depth >= 0);
-  TreeBuilder b;
-  NodeId root = b.Root(label);
-  std::function<void(NodeId, int32_t)> grow = [&](NodeId n, int32_t d) {
-    if (d == 0) return;
-    NodeId left = b.Child(n, label);
-    grow(left, d - 1);
-    NodeId right = b.Child(n, label);
-    grow(right, d - 1);
-  };
-  grow(root, depth);
-  return b.Build();
+  MD_CHECK(depth >= 0 && depth < 30);
+  // Heap numbering: the children of s are 2s+1 and 2s+2.
+  const NodeId size = (NodeId{2} << depth) - 1;
+  return DecodeFirstChildNextSibling(
+      0, [&](NodeId s) { return 2 * s + 1 < size ? 2 * s + 1 : kNoNode; },
+      [&](NodeId s) { return s % 2 == 1 ? s + 1 : kNoNode; },
+      [&](NodeId) -> const std::string& { return label; });
 }
 
 Tree RandomFullBinaryTree(util::Rng& rng, int32_t num_internal,
@@ -96,7 +92,6 @@ Tree RandomFullBinaryTree(util::Rng& rng, int32_t num_internal,
   // Grow a parent table by repeatedly splitting a random leaf.
   int32_t num_nodes = 2 * num_internal + 1;
   std::vector<int32_t> parent(num_nodes, -1);
-  std::vector<std::vector<int32_t>> kids(num_nodes);
   std::vector<int32_t> leaves = {0};
   int32_t next = 1;
   for (int32_t s = 0; s < num_internal; ++s) {
@@ -106,21 +101,11 @@ Tree RandomFullBinaryTree(util::Rng& rng, int32_t num_internal,
     leaves.pop_back();
     for (int32_t c = 0; c < 2; ++c) {
       parent[next] = node;
-      kids[node].push_back(next);
       leaves.push_back(next);
       ++next;
     }
   }
-  TreeBuilder b;
-  b.Root(PickLabel(rng, labels));
-  std::function<void(int32_t, NodeId)> attach = [&](int32_t src, NodeId dst) {
-    for (int32_t k : kids[src]) {
-      NodeId built = b.Child(dst, PickLabel(rng, labels));
-      attach(k, built);
-    }
-  };
-  attach(0, 0);
-  return b.Build();
+  return BuildFromParents(rng, parent, labels, PickLabel(rng, labels));
 }
 
 Tree ChainTree(int32_t num_nodes, const std::string& label) {

@@ -1,9 +1,20 @@
 #include "src/tree/tree.h"
 
-#include <functional>
 #include <utility>
 
 namespace mdatalog::tree {
+
+namespace {
+
+/// True iff `p` is `last` or one of its ancestors, i.e. a new node under `p`
+/// keeps NodeId order equal to document order. The nodes walked past leave
+/// the rightmost path for good, so the walks of a whole build take O(size).
+bool OnRightmostPath(const NodeId* parent, NodeId last, NodeId p) {
+  while (last != p && last != kNoNode) last = parent[last];
+  return last == p;
+}
+
+}  // namespace
 
 Tree& Tree::operator=(const Tree& other) {
   if (this == &other) return *this;
@@ -119,30 +130,6 @@ bool Tree::IsAncestor(NodeId anc, NodeId n) const {
   return false;
 }
 
-std::vector<NodeId> Tree::Preorder() const {
-  std::vector<NodeId> order;
-  order.reserve(size_);
-  std::vector<NodeId> stack = {root()};
-  while (!stack.empty()) {
-    NodeId n = stack.back();
-    stack.pop_back();
-    order.push_back(n);
-    // Push children right-to-left so the leftmost is visited first.
-    std::vector<NodeId> kids = Children(n);
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) stack.push_back(*it);
-  }
-  return order;
-}
-
-std::vector<int32_t> Tree::PreorderRanks() const {
-  std::vector<int32_t> rank(size_, 0);
-  std::vector<NodeId> order = Preorder();
-  for (size_t i = 0; i < order.size(); ++i) {
-    rank[order[i]] = static_cast<int32_t>(i);
-  }
-  return rank;
-}
-
 int32_t Tree::MaxArity() const {
   int32_t best = 0;
   for (NodeId n = 0; n < size(); ++n) {
@@ -161,11 +148,8 @@ int32_t Tree::Height() const {
 
 std::string Tree::SubtreeText(NodeId n) const {
   std::string out;
-  std::function<void(NodeId)> walk = [&](NodeId m) {
-    out += text(m);
-    for (NodeId c = first_child(m); c != kNoNode; c = next_sibling(c)) walk(c);
-  };
-  walk(n);
+  const NodeId last = LastDescendant(*this, n);
+  for (NodeId m = n; m <= last; ++m) out += text(m);
   return out;
 }
 
@@ -200,6 +184,7 @@ NodeId TreeBuilder::Child(NodeId parent, std::string_view label) {
   MD_CHECK(parent >= 0 &&
            static_cast<size_t>(parent) < tree_.own_label_.size());
   const NodeId id = static_cast<NodeId>(tree_.own_label_.size());
+  MD_CHECK(OnRightmostPath(tree_.own_parent_.data(), id - 1, parent));
   const NodeId prev = tree_.own_last_child_[parent];
   tree_.own_parent_.push_back(parent);
   tree_.own_first_child_.push_back(kNoNode);
@@ -230,65 +215,89 @@ Tree TreeBuilder::Build() {
   return std::move(tree_);
 }
 
-Tree CopySubtree(const Tree& t, NodeId n, std::vector<NodeId>* src_of_dst) {
+Tree CopySubtree(const Tree& t, NodeId n) {
   MD_CHECK(n >= 0 && n < t.size());
-  if (src_of_dst != nullptr) src_of_dst->clear();
   TreeBuilder builder;
-  std::function<void(NodeId, NodeId)> copy = [&](NodeId src,
-                                                 NodeId dst_parent) {
-    NodeId dst = dst_parent == kNoNode
-                     ? builder.Root(t.label_name(src))
-                     : builder.Child(dst_parent, t.label_name(src));
-    if (src_of_dst != nullptr) src_of_dst->push_back(src);
-    if (t.HasText(src)) builder.SetText(dst, t.text(src));
-    for (NodeId c = t.first_child(src); c != kNoNode; c = t.next_sibling(c)) {
-      copy(c, dst);
-    }
-  };
-  copy(n, kNoNode);
+  builder.Root(t.label_name(n));
+  const NodeId last = LastDescendant(t, n);
+  for (NodeId m = n; m <= last; ++m) {
+    const NodeId dst =
+        m == n ? 0 : builder.Child(t.parent(m) - n, t.label_name(m));
+    if (t.HasText(m)) builder.SetText(dst, t.text(m));
+  }
   return builder.Build();
 }
 
-namespace {
-
-bool SubtreesEqual(const Tree& a, NodeId na, const Tree& b, NodeId nb) {
-  if (a.label_name(na) != b.label_name(nb)) return false;
-  if (a.text(na) != b.text(nb)) return false;
-  NodeId ca = a.first_child(na);
-  NodeId cb = b.first_child(nb);
-  while (ca != kNoNode && cb != kNoNode) {
-    if (!SubtreesEqual(a, ca, b, cb)) return false;
-    ca = a.next_sibling(ca);
-    cb = b.next_sibling(cb);
-  }
-  return ca == kNoNode && cb == kNoNode;
-}
-
-void DebugRender(const Tree& t, NodeId n, std::string* out) {
-  *out += t.label_name(n);
-  if (!t.IsLeaf(n)) {
-    *out += '(';
-    bool first = true;
-    for (NodeId c = t.first_child(n); c != kNoNode; c = t.next_sibling(c)) {
-      if (!first) *out += ',';
-      first = false;
-      DebugRender(t, c, out);
-    }
-    *out += ')';
-  }
-}
-
-}  // namespace
-
 bool TreesEqual(const Tree& a, const Tree& b) {
+  // Both are numbered in document order, so equal parent columns mean equal
+  // ordered shapes.
   if (a.size() != b.size()) return false;
-  return SubtreesEqual(a, a.root(), b, b.root());
+  for (NodeId n = 0; n < a.size(); ++n) {
+    if (a.parent(n) != b.parent(n) || a.label_name(n) != b.label_name(n) ||
+        a.text(n) != b.text(n)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::string ToDebugString(const Tree& t) {
   std::string out;
-  DebugRender(t, t.root(), &out);
+  for (NodeId n = 0; n < t.size(); ++n) {
+    if (n > 0) {
+      // Close every node between the previous one and n's parent.
+      for (NodeId a = n - 1; a != t.parent(n); a = t.parent(a)) {
+        if (!t.IsLeaf(a)) out += ')';
+      }
+      if (t.prev_sibling(n) != kNoNode) out += ',';
+    }
+    out += t.label_name(n);
+    if (!t.IsLeaf(n)) out += '(';
+  }
+  for (NodeId a = t.size() - 1; a != kNoNode; a = t.parent(a)) {
+    if (!t.IsLeaf(a)) out += ')';
+  }
   return out;
+}
+
+util::Status CheckStructure(const Tree::FrozenView& view, int32_t num_labels) {
+  const auto bad = [](const char* what, NodeId n) {
+    return util::Status::DataLoss(std::string("tree column ") + what +
+                                  " corrupt at node " + std::to_string(n));
+  };
+  const int32_t size = view.num_nodes;
+  if (size <= 0 || view.parent[0] != kNoNode) return bad("parent", 0);
+  // Recompute the links from the parent column, then compare.
+  std::vector<NodeId> first(size, kNoNode), last(size, kNoNode);
+  std::vector<NodeId> next(size, kNoNode);
+  for (NodeId n = 1; n < size; ++n) {
+    const NodeId p = view.parent[n];
+    if (p < 0 || p >= n || !OnRightmostPath(view.parent, n - 1, p)) {
+      return bad("parent", n);
+    }
+    const NodeId prev = last[p];
+    if (view.prev_sibling[n] != prev) return bad("prev_sibling", n);
+    if (prev == kNoNode) {
+      first[p] = n;
+    } else {
+      next[prev] = n;
+    }
+    last[p] = n;
+  }
+  if (view.prev_sibling[0] != kNoNode) return bad("prev_sibling", 0);
+  for (NodeId n = 0; n < size; ++n) {
+    if (view.first_child[n] != first[n]) return bad("first_child", n);
+    if (view.last_child[n] != last[n]) return bad("last_child", n);
+    if (view.next_sibling[n] != next[n]) return bad("next_sibling", n);
+    if (view.label[n] < 0 || view.label[n] >= num_labels) {
+      return bad("label", n);
+    }
+    if (view.text_offsets != nullptr &&
+        view.text_offsets[n] > view.text_offsets[n + 1]) {
+      return bad("text_offsets", n);
+    }
+  }
+  return util::Status::OK();
 }
 
 }  // namespace mdatalog::tree

@@ -7,6 +7,7 @@
 
 #include "src/util/check.h"
 #include "src/util/interner.h"
+#include "src/util/status.h"
 
 /// \file tree.h
 /// Finite ordered labeled trees — the data model of the paper (Section 2).
@@ -25,11 +26,16 @@
 /// plus the derived relations child, lastchild and firstsibling used in
 /// Section 5/6. The pair (firstchild, nextsibling) *is* the binary encoding of
 /// Figure 1; see binary.h for the explicit encode/decode round trip.
+///
+/// **NodeId order is document order** (≺ of Example 2.5 is `x < y`).
+/// TreeBuilder enforces it and CheckStructure checks frozen columns, so code
+/// relies on it: the subtree of n is the id range [n, LastDescendant(t, n)],
+/// and a loop over ids visits parents before children — no recursion.
 
 namespace mdatalog::tree {
 
-/// Node handle: index into the tree's node arena. Stable for the lifetime of
-/// the tree.
+/// Node handle: the node's position in document order. Stable for the
+/// lifetime of the tree.
 using NodeId = int32_t;
 /// Interned label (alphabet symbol).
 using LabelId = util::SymbolId;
@@ -64,7 +70,8 @@ class Tree {
     const char* text_base = nullptr;
   };
   /// A zero-copy tree over `view`: node columns and texts are read in place;
-  /// only the (small) label alphabet is owned. See src/store/.
+  /// only the (small) label alphabet is owned. See src/store/. The columns
+  /// are trusted: check untrusted ones with CheckStructure first.
   static Tree FromFrozenView(const FrozenView& view, util::Interner labels);
 
   /// The tree's own columns, for freezing. Valid while the tree is alive.
@@ -149,10 +156,6 @@ class Tree {
   /// True iff `anc` is a proper ancestor of `n`.
   bool IsAncestor(NodeId anc, NodeId n) const;
 
-  /// All nodes in document order (preorder, Example 2.5). O(size).
-  std::vector<NodeId> Preorder() const;
-  /// rank[n] = position of node n in document order.
-  std::vector<int32_t> PreorderRanks() const;
   /// Maximum number of children over all nodes.
   int32_t MaxArity() const;
   /// Height (leaves-only tree has height 0).
@@ -220,16 +223,15 @@ class Tree {
   util::Interner labels_;
 };
 
-/// Incremental construction of a Tree. Nodes are created root-first; children
-/// are appended in left-to-right order. NodeIds are assigned in creation
-/// order, so building in document order (as all parsers and generators here
-/// do) makes NodeId order coincide with document order — but no code relies
-/// on that; use Tree::PreorderRanks for order-sensitive logic.
+/// Incremental construction of a Tree in document order: NodeIds are assigned
+/// in creation order, and Child MD_CHECKs that each node extends the current
+/// rightmost path.
 class TreeBuilder {
  public:
   /// Creates the root. Must be called exactly once, first.
   NodeId Root(std::string_view label);
-  /// Appends a new rightmost child under `parent`.
+  /// Appends a new rightmost child under `parent`, which must be the last
+  /// node created or one of its ancestors. Amortized O(1).
   NodeId Child(NodeId parent, std::string_view label);
   /// Sets the text payload of a node.
   void SetText(NodeId n, std::string_view text);
@@ -266,14 +268,19 @@ class TreeBuilder {
   Tree tree_;
 };
 
+/// The last node of n's subtree in document order (n for a leaf), on a Tree or
+/// on a TreeBuilder whose node n has closed. O(length of n's rightmost path).
+template <typename TreeLike>
+NodeId LastDescendant(const TreeLike& t, NodeId n) {
+  for (NodeId c = t.last_child(n); c != kNoNode; c = t.last_child(c)) n = c;
+  return n;
+}
+
 /// A deep copy of the subtree of `t` rooted at `n`, as its own tree (labels
-/// and texts included; the new root is node 0). Nodes are copied in preorder,
-/// so when `t` itself was built in document order, the copy's NodeIds are the
-/// source ids renumbered by preorder rank. `src_of_dst`, when non-null, is
-/// filled with the source NodeId of every destination node (indexed by
-/// destination id) so callers can remap per-node side tables.
-Tree CopySubtree(const Tree& t, NodeId n,
-                 std::vector<NodeId>* src_of_dst = nullptr);
+/// and texts included; the new root is node 0). The subtree is the id range
+/// [n, LastDescendant(t, n)], so source node m becomes node m - n and
+/// per-node side tables remap by the same shift.
+Tree CopySubtree(const Tree& t, NodeId n);
 
 /// Structural + label + text equality (labels compared by name, so trees with
 /// different interners compare correctly).
@@ -281,5 +288,11 @@ bool TreesEqual(const Tree& a, const Tree& b);
 
 /// One-line debug rendering, e.g. "a(b,c(d))".
 std::string ToDebugString(const Tree& t);
+
+/// DataLoss unless `view` is a tree in document order: each parent extends
+/// the rightmost path as in TreeBuilder::Child, the other links are exactly
+/// those the parent column implies, labels lie in [0, num_labels) and text
+/// offsets never decrease. O(num_nodes).
+util::Status CheckStructure(const Tree::FrozenView& view, int32_t num_labels);
 
 }  // namespace mdatalog::tree

@@ -1,6 +1,5 @@
 #include "src/wrapper/wrapper.h"
 
-#include <functional>
 #include <utility>
 
 #include "src/html/parser.h"
@@ -67,40 +66,31 @@ Tree BuildOutputTree(const std::vector<std::string>& extraction_patterns,
 
   // marked_below[n]: some proper descendant of n is selected. An output node
   // is a leaf iff it is the innermost pattern on its input node and nothing
-  // below is selected; leaves carry the input subtree's text.
+  // below is selected; leaves carry the input subtree's text. Children have
+  // larger ids than their parent, so one reverse pass suffices.
   std::vector<bool> marked_below(t.size(), false);
-  std::function<bool(NodeId)> scan = [&](NodeId n) {
-    bool below = false;
-    for (NodeId c = t.first_child(n); c != kNoNode; c = t.next_sibling(c)) {
-      below |= scan(c);
+  for (NodeId n = t.size() - 1; n > 0; --n) {
+    if (marked_below[n] || !patterns_of[n].empty()) {
+      marked_below[t.parent(n)] = true;
     }
-    marked_below[n] = below;
-    return below || !patterns_of[n].empty();
-  };
-  scan(t.root());
+  }
 
+  // innermost[n]: the output node that n's descendants hang under — n's
+  // innermost pattern node, else the one inherited from n's parent. Input
+  // nodes come in document order, so output nodes do too.
   tree::TreeBuilder builder;
-  NodeId out_root = builder.Root("result");
-  std::vector<NodeId> parent_stack = {out_root};
-  std::function<void(NodeId)> walk = [&](NodeId n) {
-    size_t pushed = 0;
+  std::vector<NodeId> innermost(t.size());
+  const NodeId out_root = builder.Root("result");
+  for (NodeId n = 0; n < t.size(); ++n) {
+    NodeId out = n == 0 ? out_root : innermost[t.parent(n)];
     for (size_t i = 0; i < patterns_of[n].size(); ++i) {
-      int32_t pi = patterns_of[n][i];
-      NodeId built =
-          builder.Child(parent_stack.back(), extraction_patterns[pi]);
-      bool innermost = (i + 1 == patterns_of[n].size());
-      if (innermost && !marked_below[n]) {
-        builder.SetText(built, t.SubtreeText(n));
+      out = builder.Child(out, extraction_patterns[patterns_of[n][i]]);
+      if (i + 1 == patterns_of[n].size() && !marked_below[n]) {
+        builder.SetText(out, t.SubtreeText(n));
       }
-      parent_stack.push_back(built);
-      ++pushed;
     }
-    for (NodeId c = t.first_child(n); c != kNoNode; c = t.next_sibling(c)) {
-      walk(c);
-    }
-    for (size_t i = 0; i < pushed; ++i) parent_stack.pop_back();
-  };
-  walk(t.root());
+    innermost[n] = out;
+  }
   return builder.Build();
 }
 

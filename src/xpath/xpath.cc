@@ -278,12 +278,9 @@ using NodeSet = std::set<tree::NodeId>;
 
 NodeSet AxisImage(const tree::Tree& t, Axis axis, const NodeSet& from) {
   NodeSet out;
-  auto add_descendants = [&](tree::NodeId n, auto&& self) -> void {
-    for (tree::NodeId c = t.first_child(n); c != tree::kNoNode;
-         c = t.next_sibling(c)) {
-      out.insert(c);
-      self(c, self);
-    }
+  // The descendants of n are the id range (n, LastDescendant(t, n)].
+  const auto add_range = [&](tree::NodeId first, tree::NodeId last) {
+    for (tree::NodeId m = first; m <= last; ++m) out.insert(m);
   };
   for (tree::NodeId n : from) {
     switch (axis) {
@@ -297,11 +294,10 @@ NodeSet AxisImage(const tree::Tree& t, Axis axis, const NodeSet& from) {
         }
         break;
       case Axis::kDescendant:
-        add_descendants(n, add_descendants);
+        add_range(n + 1, tree::LastDescendant(t, n));
         break;
       case Axis::kDescendantOrSelf:
-        out.insert(n);
-        add_descendants(n, add_descendants);
+        add_range(n, tree::LastDescendant(t, n));
         break;
       case Axis::kParent:
         if (t.parent(n) != tree::kNoNode) out.insert(t.parent(n));

@@ -2,6 +2,9 @@
 // malformed input into a clean Status — never crash, never silently accept.
 // Plus resource-limit behavior (budgets return ResourceExhausted, not hangs).
 
+#include <pthread.h>
+
+#include <functional>
 #include <string_view>
 
 #include <gtest/gtest.h>
@@ -19,9 +22,13 @@
 #include "src/html/parser.h"
 #include "src/mso/compile.h"
 #include "src/mso/formula.h"
+#include "src/runtime/runtime.h"
+#include "src/stream/stream_session.h"
 #include "src/tmnf/pipeline.h"
 #include "src/tree/generator.h"
+#include "src/tree/serialize.h"
 #include "src/util/rng.h"
+#include "src/wrapper/wrapper.h"
 #include "src/xpath/xpath.h"
 
 namespace mdatalog {
@@ -64,9 +71,13 @@ TEST(RobustnessTest, HtmlParserSurvivesGarbage) {
     auto doc = html::ParseHtml(junk);
     if (doc.ok()) {
       // Whatever came out must be a well-formed tree.
-      EXPECT_GE(doc->tree().size(), 1);
-      EXPECT_EQ(doc->tree().Preorder().size(),
-                static_cast<size_t>(doc->tree().size()));
+      const tree::Tree& t = doc->tree();
+      const tree::Tree::Columns c = t.columns();
+      EXPECT_TRUE(tree::CheckStructure({t.size(), c.parent, c.first_child,
+                                        c.last_child, c.prev_sibling,
+                                        c.next_sibling, c.label},
+                                       static_cast<int32_t>(t.labels().size()))
+                      .ok());
     }
   }
 }
@@ -78,6 +89,16 @@ TEST(RobustnessTest, HtmlPathologies) {
   auto doc = html::ParseHtml(deep + "x");
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc->tree().size(), 201);
+  // The root strip shifted every id down by one; the chain is one id range.
+  EXPECT_EQ(doc->tree().label_name(199), "div");
+  EXPECT_EQ(doc->tree().text(200), "x");
+  EXPECT_EQ(tree::LastDescendant(doc->tree(), 0), 200);
+  EXPECT_EQ(doc->tree().SubtreeText(0), "x");
+  std::string xml;
+  for (int i = 0; i < 200; ++i) xml += "<div>";
+  xml += "<#text>x</#text>";
+  for (int i = 0; i < 200; ++i) xml += "</div>";
+  EXPECT_EQ(tree::ToXml(doc->tree(), -1), xml);
   // A wall of end tags with no matching start.
   EXPECT_FALSE(html::ParseHtml("</a></b></c>").ok());  // no content at all
   // Attributes with every quoting style and junk between them.
@@ -198,6 +219,89 @@ TEST(RobustnessTest, DeepChainTreeEverywhere) {
                                     {t.root()});
   ASSERT_TRUE(ord.ok());
   EXPECT_EQ(ord->size(), 799u);  // everything after the root
+}
+
+// ---------------------------------------------------------------------------
+// Deep pages: every layer of the serving path walks trees by id, never by
+// recursion, so nesting depth costs heap, not stack.
+// ---------------------------------------------------------------------------
+
+/// Runs `fn` on a thread with a 256 KB stack, so a depth-proportional stack
+/// shows up the same way whatever the host's default stack size is.
+void RunOnSmallStack(const std::function<void()>& fn) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 256 * 1024), 0);
+  pthread_t thread;
+  const auto run = [](void* arg) -> void* {
+    (*static_cast<const std::function<void()>*>(arg))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&thread, &attr, run,
+                           const_cast<std::function<void()>*>(&fn)),
+            0);
+  pthread_join(thread, nullptr);
+  pthread_attr_destroy(&attr);
+}
+
+TEST(RobustnessTest, DeepPageServesOnSmallStack) {
+  constexpr int kDepth = 100000;
+  std::string page;
+  for (int i = 0; i < kDepth; ++i) page += "<div class=x>";
+  page += "y";
+  // Leaf-only output: the one text node under the innermost div@x.
+  auto program = elog::ParseElog(R"(
+    chain(X) <- root(X).
+    chain(X) <- chain(P), subelem(P, "div@x", X).
+    deepest(X) <- chain(P), subelem(P, "#text", X), leaf(X).
+  )");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  wrapper::Wrapper w;
+  w.program = *program;
+  w.extraction_patterns = {"deepest"};
+  const std::string expected = "<result>\n  <deepest>y</deepest>\n</result>\n";
+
+  RunOnSmallStack([&] {
+    auto doc = html::ParseHtml(page);
+    ASSERT_TRUE(doc.ok());
+    ASSERT_EQ(doc->tree().size(), kDepth + 1);
+    const tree::Tree projected = html::ProjectAttributeIntoLabels(*doc, "class");
+    EXPECT_EQ(projected.label_name(kDepth - 1), "div@x");
+    EXPECT_EQ(projected.SubtreeText(0), "y");
+    const std::string xml = tree::ToXml(projected, -1);
+    EXPECT_EQ(xml.size(), kDepth * (sizeof("<div@x></div@x>") - 1) +
+                              sizeof("<#text>y</#text>") - 1);
+
+    runtime::WrapperRuntime rt;
+    auto handle = rt.Register(w, "class");
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    auto wrapped = rt.Wrap(*handle, page);
+    ASSERT_TRUE(wrapped.ok()) << wrapped.status().ToString();
+    EXPECT_EQ(*wrapped, expected);
+
+    std::vector<runtime::Request> batch(
+        2, {.page = runtime::PageRef::View(page), .wrapper = *handle});
+    for (auto& r : rt.SubmitBatch(std::move(batch))) {
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(*r, expected);
+    }
+
+    std::vector<std::string> emitted;
+    stream::StreamOptions options;
+    options.on_result = [&](const stream::StreamResult& r) {
+      emitted.push_back(r.text);
+    };
+    auto session = rt.SubmitStream({.wrapper = *handle}, std::move(options));
+    ASSERT_TRUE(session.ok());
+    for (size_t at = 0; at < page.size(); at += 4096) {
+      ASSERT_TRUE((*session)->Feed(std::string_view(page).substr(at, 4096))
+                      .ok());
+    }
+    auto streamed = (*session)->Finish();
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    EXPECT_EQ(*streamed, expected);
+    EXPECT_EQ(emitted, std::vector<std::string>{"y"});
+  });
 }
 
 }  // namespace

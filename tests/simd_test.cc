@@ -164,16 +164,4 @@ TEST(SimdKernelTest, NodeSetAlgebraMatchesPerElementDefinition) {
   }
 }
 
-TEST(SimdKernelTest, NodeSetAssignWordsLoadsBulkBitArrays) {
-  util::Rng rng(45);
-  const int32_t domain = 1000;
-  const core::NodeSet src = RandomSet(rng, domain, 412);
-
-  core::NodeSet dst;
-  dst.AssignWords(src.words(), domain);
-  EXPECT_EQ(dst, src);
-  EXPECT_EQ(dst.count(), src.count());
-  EXPECT_EQ(dst.ToVector(), src.ToVector());
-}
-
 }  // namespace

@@ -5,6 +5,7 @@
 // engine oracles produce over the frozen trees.
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -210,6 +211,47 @@ TEST(CorpusStoreTest, RejectsFlippedPayloadByteAsDataLoss) {
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   // ...but serving the damaged document reports DataLoss, never bad data.
   EXPECT_EQ((*store)->Get(0).status().code(), util::StatusCode::kDataLoss);
+}
+
+TEST(CorpusStoreTest, RejectsForgedNodeColumnsAsDataLoss) {
+  const std::string path = TempPath("forged.mdcs");
+  BuildAndOpen(path, 1, "");
+  const std::string clean = ReadFile(path);
+  const size_t blob = sizeof(store::FileHeader);
+  store::DocHeader h;
+  std::memcpy(&h, clean.data() + blob, sizeof(h));
+  const auto read32 = [&](size_t at) {
+    int32_t v;
+    std::memcpy(&v, clean.data() + blob + at, sizeof(v));
+    return v;
+  };
+  // Writes `value` at blob offset `at`, re-seals the (unkeyed) checksum the
+  // way a forger would, and serves the document.
+  const auto serve_forged = [&](size_t at, int32_t value) {
+    std::string bytes = clean;
+    std::memcpy(bytes.data() + blob + at, &value, sizeof(value));
+    store::DocHeader sealed = h;
+    sealed.payload_checksum = store::Checksum64(
+        bytes.data() + blob + sizeof(h), h.blob_size - sizeof(h));
+    std::memcpy(bytes.data() + blob, &sealed, sizeof(sealed));
+    WriteFile(path, bytes);
+    auto store = store::CorpusStore::Open(path);
+    EXPECT_TRUE(store.ok()) << store.status().ToString();
+    return store.ok() ? (*store)->Get(0).status().code()
+                      : util::StatusCode::kOk;
+  };
+  // Re-parent one node onto its predecessor: every id stays in range, but
+  // the sibling links no longer match.
+  const auto parent_at = [&](int32_t n) { return h.off_nodes + 4 * n; };
+  int32_t victim = 2;
+  while (read32(parent_at(victim)) == victim - 1) ++victim;
+  ASSERT_LT(victim, static_cast<int32_t>(h.num_nodes));
+  EXPECT_EQ(serve_forged(parent_at(victim), victim - 1),
+            util::StatusCode::kDataLoss);
+  // A label offset past its successor: that label's length would underflow.
+  ASSERT_GE(h.num_labels, 2u);
+  EXPECT_EQ(serve_forged(h.off_labels + 4, read32(h.off_labels + 8) + 1),
+            util::StatusCode::kDataLoss);
 }
 
 TEST(CorpusStoreTest, MissingFileIsInvalidArgument) {

@@ -87,15 +87,83 @@ TEST(TreeTest, AncestorCheck) {
   EXPECT_FALSE(t.IsAncestor(1, 3));
 }
 
+/// The columns of `t` as a frozen view, for CheckStructure.
+Tree::FrozenView ViewOf(const Tree& t) {
+  const Tree::Columns c = t.columns();
+  return {t.size(),         c.parent,       c.first_child, c.last_child,
+          c.prev_sibling,   c.next_sibling, c.label};
+}
+
 TEST(TreeTest, PreorderIsDocumentOrder) {
+  // a(b, c(d, e), f): ids are document order, so every subtree is an id
+  // range ending at its last descendant.
   Tree t = SmallTree();
-  std::vector<NodeId> order = t.Preorder();
-  // Built in document order, so ids are already sorted.
-  for (size_t i = 0; i < order.size(); ++i) {
-    EXPECT_EQ(order[i], static_cast<NodeId>(i));
+  const std::vector<NodeId> last = {5, 1, 4, 3, 4, 5};
+  for (NodeId n = 0; n < t.size(); ++n) {
+    EXPECT_EQ(LastDescendant(t, n), last[n]) << n;
+    if (n > 0) EXPECT_LT(t.parent(n), n);
   }
-  std::vector<int32_t> rank = t.PreorderRanks();
-  for (NodeId n = 0; n < t.size(); ++n) EXPECT_EQ(rank[n], n);
+  // On random shapes: y lies in x's id range iff x is y's proper ancestor,
+  // and the columns pass the structure check.
+  util::Rng rng(5);
+  for (int trial = 0; trial < 20; ++trial) {
+    Tree r = RandomTree(rng, 1 + static_cast<int32_t>(rng.Below(40)), {"a"});
+    EXPECT_TRUE(CheckStructure(ViewOf(r), 1).ok()) << ToDebugString(r);
+    for (NodeId x = 0; x < r.size(); ++x) {
+      for (NodeId y = 0; y < r.size(); ++y) {
+        EXPECT_EQ(r.IsAncestor(x, y), x < y && y <= LastDescendant(r, x));
+      }
+    }
+  }
+}
+
+TEST(TreeBuilderDeathTest, ChildRejectsParentOffRightmostPath) {
+  // After a(b(c), d) the rightmost path is a, d: b is closed for good.
+  TreeBuilder b;
+  NodeId a = b.Root("a");
+  NodeId bb = b.Child(a, "b");
+  b.Child(bb, "c");
+  b.Child(a, "d");
+  EXPECT_DEATH(b.Child(bb, "e"), "OnRightmostPath");
+}
+
+TEST(TreeTest, CheckStructureRejectsInconsistentColumns) {
+  // a(b, c(d, e), f) as six mutable columns.
+  const Tree t = SmallTree();
+  const Tree::FrozenView good = ViewOf(t);
+  const int32_t num_labels = static_cast<int32_t>(t.labels().size());
+  const auto column = [&](const int32_t* col) {
+    return std::vector<int32_t>(col, col + t.size());
+  };
+  const auto check = [&](int which, NodeId n, int32_t value,
+                         std::vector<uint32_t> offsets = {}) {
+    std::vector<std::vector<int32_t>> cols = {
+        column(good.parent),       column(good.first_child),
+        column(good.last_child),   column(good.prev_sibling),
+        column(good.next_sibling), column(good.label)};
+    if (which >= 0) cols[which][n] = value;
+    const Tree::FrozenView view = {
+        t.size(),       cols[0].data(), cols[1].data(),
+        cols[2].data(), cols[3].data(), cols[4].data(),
+        cols[5].data(), offsets.empty() ? nullptr : offsets.data(),
+        ""};
+    return CheckStructure(view, num_labels);
+  };
+  EXPECT_TRUE(check(-1, 0, 0).ok());
+  EXPECT_TRUE(check(-1, 0, 0, {0, 0, 1, 1, 2, 2, 3}).ok());
+  // Parent later than the node, and parent off the rightmost path (e under
+  // b instead of c: b closed when c opened).
+  EXPECT_EQ(check(0, 2, 3).code(), util::StatusCode::kDataLoss);
+  EXPECT_EQ(check(0, 4, 1).code(), util::StatusCode::kDataLoss);
+  // In-range links that disagree with the parent column.
+  EXPECT_EQ(check(1, 2, 4).code(), util::StatusCode::kDataLoss);
+  EXPECT_EQ(check(2, 0, 2).code(), util::StatusCode::kDataLoss);
+  EXPECT_EQ(check(3, 5, 1).code(), util::StatusCode::kDataLoss);
+  EXPECT_EQ(check(4, 3, kNoNode).code(), util::StatusCode::kDataLoss);
+  // A label past the alphabet, and text offsets that go backwards.
+  EXPECT_EQ(check(5, 1, num_labels).code(), util::StatusCode::kDataLoss);
+  EXPECT_EQ(check(-1, 0, 0, {0, 2, 1, 1, 2, 2, 3}).code(),
+            util::StatusCode::kDataLoss);
 }
 
 TEST(TreeTest, TextPayload) {
@@ -187,6 +255,20 @@ TEST(BinaryEncodingTest, DecodeRejectsRootWithRightChild) {
 TEST(BinaryEncodingTest, DecodeRejectsEmpty) {
   BinaryTree b;
   EXPECT_FALSE(DecodeFirstChildNextSibling(b).ok());
+}
+
+TEST(BinaryEncodingTest, DecodeRejectsCyclesAndStrayLinks) {
+  BinaryTree cycle;
+  cycle.nodes.push_back({.label = "a", .left = 1, .right = kNoNode});
+  cycle.nodes.push_back({.label = "b", .left = 1, .right = kNoNode});
+  cycle.root = 0;
+  EXPECT_FALSE(DecodeFirstChildNextSibling(cycle).ok());
+  BinaryTree stray = cycle;
+  stray.nodes[1].left = 7;
+  EXPECT_FALSE(DecodeFirstChildNextSibling(stray).ok());
+  BinaryTree to_root = cycle;
+  to_root.nodes[1].left = 0;
+  EXPECT_FALSE(DecodeFirstChildNextSibling(to_root).ok());
 }
 
 TEST(GeneratorTest, CompleteBinaryTreeSize) {
