@@ -16,100 +16,51 @@ REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${1:-${REPO_ROOT}/build}"
 FILTER="${2:-.}"
 
+# One row per suite: binary, output file, extra flags. A fixed min_time keeps
+# each series comparable across PRs; bench_eval_linear uses the library
+# default.
+#   bench_eval_linear  core engines, linear-time scaling (Theorem 4.2)
+#   bench_runtime      serving throughput: cold vs warm cache, 1 vs N threads
+#   bench_admission    hot/cold mix: single-mutex plain LRU vs sharded TinyLFU
+#   bench_store        corpus-store rehydration vs cold parse, SIMD kernels
+#   bench_stream       first-result latency vs batch full-wrap, 1000-item page
+#   bench_analysis     lint/canonicalization/equivalence, canonical-key A/B
+#   bench_telemetry    traced vs untraced serving loop; CI gates the pair
+#                      within 3% (check_bench_regression.py --overhead-pair)
+#   bench_qos          hot-set serving under a cold flood, with and without
+#                      fair share; CI gates protected within 10% of baseline
+SUITES=(
+  "bench_eval_linear BENCH_eval.json"
+  "bench_runtime BENCH_runtime.json --benchmark_min_time=0.2"
+  "bench_admission BENCH_admission.json --benchmark_min_time=0.2"
+  "bench_store BENCH_store.json --benchmark_min_time=0.2"
+  "bench_stream BENCH_stream.json --benchmark_min_time=0.2"
+  "bench_analysis BENCH_analysis.json --benchmark_min_time=0.2"
+  "bench_telemetry BENCH_telemetry.json --benchmark_min_time=0.2"
+  "bench_qos BENCH_qos.json --benchmark_min_time=0.2"
+)
+
+targets=()
+for suite in "${SUITES[@]}"; do
+  read -r binary _ <<<"${suite}"
+  targets+=("${binary}")
+done
+
 # Configure if needed, and always build: a stale binary would silently
 # record pre-change numbers into the JSON outputs.
 if [[ ! -f "${BUILD_DIR}/CMakeCache.txt" ]]; then
   cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" -DCMAKE_BUILD_TYPE=Release
 fi
-cmake --build "${BUILD_DIR}" --target bench_eval_linear bench_runtime \
-  bench_admission bench_store bench_stream bench_analysis bench_telemetry \
-  bench_qos -j"$(nproc)"
+cmake --build "${BUILD_DIR}" --target "${targets[@]}" -j"$(nproc)"
 
-"${BUILD_DIR}/bench_eval_linear" \
-  --benchmark_filter="${FILTER}" \
-  --benchmark_format=json \
-  --benchmark_out="${REPO_ROOT}/BENCH_eval.json" \
-  --benchmark_out_format=json
-
-echo "wrote ${REPO_ROOT}/BENCH_eval.json"
-
-# Serving-runtime throughput (cold vs warm cache, 1 vs N threads). A fixed
-# min_time keeps the 1k-page corpus series comparable across PRs.
-"${BUILD_DIR}/bench_runtime" \
-  --benchmark_filter="${FILTER}" \
-  --benchmark_min_time=0.2 \
-  --benchmark_format=json \
-  --benchmark_out="${REPO_ROOT}/BENCH_runtime.json" \
-  --benchmark_out_format=json
-
-echo "wrote ${REPO_ROOT}/BENCH_runtime.json"
-
-# Hot/cold-mix serving front: single-mutex plain-LRU baseline vs the sharded
-# TinyLFU front at 8 worker threads.
-"${BUILD_DIR}/bench_admission" \
-  --benchmark_filter="${FILTER}" \
-  --benchmark_min_time=0.2 \
-  --benchmark_format=json \
-  --benchmark_out="${REPO_ROOT}/BENCH_admission.json" \
-  --benchmark_out_format=json
-
-echo "wrote ${REPO_ROOT}/BENCH_admission.json"
-
-# Corpus-store snapshots + SIMD NodeSet kernels: cold parse vs mmap-warm
-# rehydration, first-touch serving with/without a store, and the
-# scalar-vs-dispatched set-plan kernel series.
-"${BUILD_DIR}/bench_store" \
-  --benchmark_filter="${FILTER}" \
-  --benchmark_min_time=0.2 \
-  --benchmark_format=json \
-  --benchmark_out="${REPO_ROOT}/BENCH_store.json" \
-  --benchmark_out_format=json
-
-echo "wrote ${REPO_ROOT}/BENCH_store.json"
-
-# Streaming front: first-result latency vs batch full-wrap on a 1000-item
-# page, plus the end-to-end cost of the incremental machinery.
-"${BUILD_DIR}/bench_stream" \
-  --benchmark_filter="${FILTER}" \
-  --benchmark_min_time=0.2 \
-  --benchmark_format=json \
-  --benchmark_out="${REPO_ROOT}/BENCH_stream.json" \
-  --benchmark_out_format=json
-
-echo "wrote ${REPO_ROOT}/BENCH_stream.json"
-
-# Static-analysis subsystem: lint/canonicalization/equivalence throughput
-# over the wrapper corpus, plus the canonical-key serving uplift A/B.
-"${BUILD_DIR}/bench_analysis" \
-  --benchmark_filter="${FILTER}" \
-  --benchmark_min_time=0.2 \
-  --benchmark_format=json \
-  --benchmark_out="${REPO_ROOT}/BENCH_analysis.json" \
-  --benchmark_out_format=json
-
-echo "wrote ${REPO_ROOT}/BENCH_analysis.json"
-
-# Telemetry overhead A/B: the fully-traced serving loop vs telemetry
-# disabled. CI gates the pair — enabled must stay within 3% of disabled
-# (check_bench_regression.py --overhead-pair).
-"${BUILD_DIR}/bench_telemetry" \
-  --benchmark_filter="${FILTER}" \
-  --benchmark_min_time=0.2 \
-  --benchmark_format=json \
-  --benchmark_out="${REPO_ROOT}/BENCH_telemetry.json" \
-  --benchmark_out_format=json
-
-echo "wrote ${REPO_ROOT}/BENCH_telemetry.json"
-
-# Multi-tenant QoS: hot-set serving under a cold-flood adversary, with and
-# without fair-share protection. CI gates the intra-run pair — protected
-# hot-serve must stay within 10% of the undisturbed baseline
-# (check_bench_regression.py --overhead-pair).
-"${BUILD_DIR}/bench_qos" \
-  --benchmark_filter="${FILTER}" \
-  --benchmark_min_time=0.2 \
-  --benchmark_format=json \
-  --benchmark_out="${REPO_ROOT}/BENCH_qos.json" \
-  --benchmark_out_format=json
-
-echo "wrote ${REPO_ROOT}/BENCH_qos.json"
+for suite in "${SUITES[@]}"; do
+  read -r binary out flags <<<"${suite}"
+  # shellcheck disable=SC2086  # flags is a word list (possibly empty)
+  "${BUILD_DIR}/${binary}" \
+    --benchmark_filter="${FILTER}" \
+    ${flags} \
+    --benchmark_format=json \
+    --benchmark_out="${REPO_ROOT}/${out}" \
+    --benchmark_out_format=json
+  echo "wrote ${REPO_ROOT}/${out}"
+done

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <set>
 
-#include "src/html/tokenizer.h"
-
 namespace mdatalog::html {
 
+namespace {
+
+/// The HTML void elements: never have children, never go on the open stack.
 bool IsVoidElement(const std::string& name) {
   static const std::set<std::string> kVoid = {
       "area", "base", "br",    "col",  "embed", "hr",   "img",
@@ -14,6 +15,8 @@ bool IsVoidElement(const std::string& name) {
   return kVoid.count(name) > 0;
 }
 
+/// The open tags that a start tag `name` implicitly closes (e.g. a new <tr>
+/// closes an open td and then the open tr).
 const std::vector<std::string>& AutoCloses(const std::string& name) {
   static const std::vector<std::string> kNone = {};
   static const std::vector<std::string> kLi = {"li"};
@@ -29,6 +32,95 @@ const std::vector<std::string>& AutoCloses(const std::string& name) {
   if (name == "option") return kOption;
   if (name == "dd" || name == "dt") return kDef;
   return kNone;
+}
+
+}  // namespace
+
+TreeConstructor::TreeConstructor(std::string_view project_attr,
+                                 Observer* observer)
+    : project_attr_(project_attr), observer_(observer) {
+  static Observer no_observer;
+  if (observer_ == nullptr) observer_ = &no_observer;
+  open_.push_back({builder_.Root("#document"), "#document", 0});
+}
+
+tree::NodeId TreeConstructor::Create(const Token& token,
+                                     std::string_view label) {
+  OpenElement& parent = open_.back();
+  const tree::NodeId n = builder_.Child(parent.node, label);
+  if (token.type == Token::Type::kText) builder_.SetText(n, token.data);
+  observer_->NodeCreated(n, parent.node, ++parent.num_children, token);
+  return n;
+}
+
+void TreeConstructor::Pop() {
+  observer_->NodeClosed(open_.back().node);
+  open_.pop_back();
+}
+
+void TreeConstructor::Add(const Token& token) {
+  switch (token.type) {
+    case Token::Type::kDoctype:
+    case Token::Type::kComment:
+      break;  // not represented in the document tree
+    case Token::Type::kText:
+      observer_->NodeClosed(Create(token, "#text"));
+      break;
+    case Token::Type::kStartTag: {
+      const std::vector<std::string>& closes = AutoCloses(token.data);
+      while (open_.size() > 1 && std::find(closes.begin(), closes.end(),
+                                           open_.back().tag) != closes.end()) {
+        Pop();
+      }
+      // Remark 2.2: the first occurrence of the attribute wins; an empty
+      // value does not project.
+      const auto attr = std::find_if(
+          token.attrs.begin(), token.attrs.end(),
+          [&](const Attribute& a) { return a.name == project_attr_; });
+      const tree::NodeId n =
+          project_attr_.empty() || attr == token.attrs.end() ||
+                  attr->value.empty()
+              ? Create(token, token.data)
+              : Create(token, token.data + "@" + attr->value);
+      if (IsVoidElement(token.data) || token.self_closing) {
+        observer_->NodeClosed(n);
+      } else {
+        open_.push_back({n, token.data, 0});
+      }
+      break;
+    }
+    case Token::Type::kEndTag:
+      // Close up to the innermost matching open element; ignore the end tag
+      // if there is none.
+      for (size_t i = open_.size() - 1; i >= 1; --i) {
+        if (open_[i].tag != token.data) continue;
+        while (open_.size() > i) Pop();
+        break;
+      }
+      break;
+  }
+}
+
+util::Status TreeConstructor::Finish() {
+  while (open_.size() > 1) Pop();
+  if (builder_.size() == 1) {
+    return util::Status::InvalidArgument("no content in HTML input");
+  }
+  return util::Status::OK();
+}
+
+bool TreeConstructor::strips_root() const {
+  const tree::NodeId first = builder_.first_child(0);
+  return first != tree::kNoNode &&
+         builder_.next_sibling(first) == tree::kNoNode;
+}
+
+tree::Tree TreeConstructor::Build() {
+  const bool strip = strips_root();
+  tree::Tree full = builder_.Build();
+  // The unique top-level node is node 1 and its subtree is every node but
+  // the root (NodeId order is document order, see tree.h).
+  return strip ? tree::CopySubtree(full, 1) : std::move(full);
 }
 
 std::string Document::GetAttr(tree::NodeId n, const std::string& name) const {
@@ -57,79 +149,30 @@ std::vector<tree::NodeId> Document::NodesWithAttr(
 }
 
 util::Result<Document> ParseHtml(std::string_view html) {
-  std::vector<Token> tokens = Tokenize(html);
-
-  // First pass: count top-level elements to decide on a synthetic root.
-  // We simply always build under a "#document" root, then strip it if it has
-  // exactly one element child and no text children.
-  tree::TreeBuilder builder;
-  std::vector<std::vector<std::pair<std::string, std::string>>> attrs;
-  tree::NodeId root = builder.Root("#document");
-  attrs.push_back({});
-
-  // Stack of open nodes: (node id, tag name).
-  std::vector<std::pair<tree::NodeId, std::string>> stack = {
-      {root, "#document"}};
-
-  auto open_node = [&](const std::string& tag,
-                       const std::vector<Attribute>& tag_attrs) {
-    tree::NodeId n = builder.Child(stack.back().first, tag);
-    attrs.resize(n + 1);
-    for (const Attribute& a : tag_attrs) attrs[n].emplace_back(a.name, a.value);
-    return n;
-  };
-
-  for (const Token& token : tokens) {
-    switch (token.type) {
-      case Token::Type::kDoctype:
-      case Token::Type::kComment:
-        break;  // not represented in the document tree
-      case Token::Type::kText: {
-        tree::NodeId n = open_node("#text", {});
-        builder.SetText(n, token.data);
-        break;
-      }
-      case Token::Type::kStartTag: {
-        // Pop every implicitly-closed element (e.g. <tr> closes an open td
-        // and then the open tr).
-        const std::vector<std::string>& closes = AutoCloses(token.data);
-        while (stack.size() > 1 &&
-               std::find(closes.begin(), closes.end(),
-                         stack.back().second) != closes.end()) {
-          stack.pop_back();
-        }
-        tree::NodeId n = open_node(token.data, token.attrs);
-        bool is_void = IsVoidElement(token.data);
-        if (!is_void && !token.self_closing) stack.emplace_back(n, token.data);
-        break;
-      }
-      case Token::Type::kEndTag: {
-        // Find the matching open tag; ignore the end tag if there is none.
-        int32_t match = -1;
-        for (int32_t i = static_cast<int32_t>(stack.size()) - 1; i >= 1; --i) {
-          if (stack[i].second == token.data) {
-            match = i;
-            break;
-          }
-        }
-        if (match >= 1) stack.resize(match);
-        break;
+  // Every node's attributes, by unstripped id (node 0 is the synthetic root).
+  struct AttrRecorder final : TreeConstructor::Observer {
+    std::vector<std::vector<std::pair<std::string, std::string>>> attrs{1};
+    void NodeCreated(tree::NodeId /*n*/, tree::NodeId /*parent*/,
+                     int32_t /*k*/, const Token& token) override {
+      auto& node_attrs = attrs.emplace_back();
+      for (const Attribute& a : token.attrs) {
+        node_attrs.emplace_back(a.name, a.value);
       }
     }
-  }
+  } recorder;
+  TreeConstructor constructor({}, &recorder);
+  for (const Token& token : Tokenize(html)) constructor.Add(token);
+  MD_RETURN_NOT_OK(constructor.Finish());
+  if (constructor.strips_root()) recorder.attrs.erase(recorder.attrs.begin());
+  return Document(constructor.Build(), std::move(recorder.attrs));
+}
 
-  tree::Tree full = builder.Build();
-  if (full.size() == 1) {
-    return util::Status::InvalidArgument("no content in HTML input");
-  }
-  // Strip the synthetic root when the document has a unique top-level node.
-  // That node is node 1 and its subtree is every node but the root (NodeId
-  // order is document order, see tree.h), so every id shifts down by one.
-  if (full.NumChildren(full.root()) == 1) {
-    attrs.erase(attrs.begin());
-    return Document(tree::CopySubtree(full, 1), std::move(attrs));
-  }
-  return Document(std::move(full), std::move(attrs));
+util::Result<tree::Tree> ParseTree(std::string_view html,
+                                   std::string_view project_attr) {
+  TreeConstructor constructor(project_attr);
+  for (const Token& token : Tokenize(html)) constructor.Add(token);
+  MD_RETURN_NOT_OK(constructor.Finish());
+  return constructor.Build();
 }
 
 tree::Tree ProjectAttributeIntoLabels(const Document& doc,

@@ -2,39 +2,25 @@
 
 #include <utility>
 
+#include "src/html/parser.h"
 #include "src/util/check.h"
 
 namespace mdatalog::runtime {
 
 util::Result<std::shared_ptr<const CachedDocument>> CachedDocument::Parse(
     std::string_view html, const std::string& project_attr) {
-  MD_ASSIGN_OR_RETURN(html::Document doc, html::ParseHtml(html));
+  MD_ASSIGN_OR_RETURN(tree::Tree t, html::ParseTree(html, project_attr));
   // Not make_shared: the constructor is private.
-  std::shared_ptr<CachedDocument> cached(
-      new CachedDocument(std::move(doc)));
-  if (!project_attr.empty()) {
-    cached->tree_ =
-        html::ProjectAttributeIntoLabels(*cached->doc_, project_attr);
-  }
-  cached->bytes_ = static_cast<int64_t>(sizeof(CachedDocument)) +
-                   cached->doc_->tree().ApproxBytes();
-  if (cached->tree_.has_value()) {
-    cached->bytes_ += cached->tree_->ApproxBytes();
-  }
-  return std::shared_ptr<const CachedDocument>(std::move(cached));
+  return std::shared_ptr<const CachedDocument>(
+      new CachedDocument(std::move(t), nullptr));
 }
 
 std::shared_ptr<const CachedDocument> CachedDocument::FromFrozen(
     const store::FrozenDocument& frozen,
     std::shared_ptr<const store::CorpusStore> store) {
-  std::shared_ptr<CachedDocument> cached(new CachedDocument());
-  cached->store_ = std::move(store);
-  cached->tree_ = frozen.MakeTree();  // zero-copy columns into the mapping
-  // Only owned heap is charged — the mapped pages are shared with every
-  // other consumer of the store and reclaimable by the kernel.
-  cached->bytes_ = static_cast<int64_t>(sizeof(CachedDocument)) +
-                   cached->tree_->ApproxBytes();
-  return std::shared_ptr<const CachedDocument>(std::move(cached));
+  // Zero-copy columns into the mapping; only owned heap is charged.
+  return std::shared_ptr<const CachedDocument>(
+      new CachedDocument(frozen.MakeTree(), std::move(store)));
 }
 
 uint64_t DocumentCache::KeyHash64(const Hash128& content_hash,

@@ -3,11 +3,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
-#include "src/html/parser.h"
 #include "src/runtime/sharded_lfu_cache.h"
 #include "src/runtime/tenant.h"
 #include "src/store/corpus_store.h"
@@ -20,9 +18,9 @@
 /// The shared-tree side of the serving runtime. A wrapper workload evaluates
 /// one fixed program over streams of documents, and the same document is
 /// typically requested many times (re-crawls, several wrappers on one page,
-/// retries). The cache parses each distinct page once and shares the
-/// immutable artifacts — HTML parse and attribute-projected tree — between
-/// all concurrent queries, keyed by content hash.
+/// retries). The cache parses each distinct page once, straight into the
+/// attribute-projected tree wrappers evaluate over, and shares that one
+/// immutable tree between all concurrent queries, keyed by content hash.
 ///
 /// The sharding / TinyLFU / byte-budget / fair-share machinery lives in
 /// ShardedLfuCache (sharded_lfu_cache.h — one template shared with the
@@ -39,34 +37,25 @@ using util::Hash128;
 using util::HashBytes;
 using util::HashBytes128;
 
-/// One fully prepared, immutable document. Shared (shared_ptr const) between
-/// every query that hits the same content: the tree and parse are read-only,
-/// so concurrent evaluations are safe.
+/// One fully prepared, immutable document: the one tree wrappers evaluate
+/// over, and no HTML parse. Shared (shared_ptr const) between every query
+/// that hits the same content; concurrent evaluations only read it.
 class CachedDocument {
  public:
-  /// Parses `html`; if `project_attr` is non-empty, additionally projects
-  /// that attribute into the labels (Remark 2.2 — "div@sidebar"-style
-  /// alphabets wrappers match on).
+  /// Parses `html` into its tree, projecting `project_attr` (if non-empty)
+  /// into the labels ("div@sidebar"-style alphabets wrappers match on).
   static util::Result<std::shared_ptr<const CachedDocument>> Parse(
       std::string_view html, const std::string& project_attr);
 
   /// Rehydrates a document out of an open corpus store — no parsing: the
   /// tree columns and texts are read in place from the store's mapping (the
   /// store stays alive via the held shared_ptr). Any projection was applied
-  /// at pack time. Store-backed documents carry no html::Document
-  /// (has_html() is false); wrappers only touch tree().
+  /// at pack time.
   static std::shared_ptr<const CachedDocument> FromFrozen(
       const store::FrozenDocument& frozen,
       std::shared_ptr<const store::CorpusStore> store);
 
-  /// False for store-backed documents, which skip the HTML parse entirely.
-  bool has_html() const { return doc_.has_value(); }
-  const html::Document& doc() const { return *doc_; }
-  /// The tree wrappers evaluate over: the projected or frozen tree when one
-  /// exists, the raw parse tree otherwise.
-  const tree::Tree& tree() const {
-    return tree_.has_value() ? *tree_ : doc_->tree();
-  }
+  const tree::Tree& tree() const { return tree_; }
   /// Approximate heap footprint, measured once at construction: the document
   /// is immutable, so this is the cache's final charge for it. Store-backed
   /// documents charge only their owned heap — the mapped pages are shared
@@ -75,15 +64,16 @@ class CachedDocument {
   int64_t ApproxBytes() const { return bytes_; }
 
  private:
-  CachedDocument() = default;
-  explicit CachedDocument(html::Document doc) : doc_(std::move(doc)) {}
+  CachedDocument(tree::Tree tree,
+                 std::shared_ptr<const store::CorpusStore> store)
+      : tree_(std::move(tree)),
+        store_(std::move(store)),
+        bytes_(static_cast<int64_t>(sizeof(CachedDocument)) +
+               tree_.ApproxBytes()) {}
 
-  std::optional<html::Document> doc_;  // absent for store-backed documents
-  // The evaluation tree when it is not doc_'s raw parse tree: the
-  // attribute-projected tree, or the zero-copy frozen tree.
-  std::optional<tree::Tree> tree_;
-  std::shared_ptr<const store::CorpusStore> store_;  // keepalive, may be null
-  int64_t bytes_ = 0;  // trees + parse, fixed after construction
+  const tree::Tree tree_;  // parsed, or zero-copy frozen columns
+  const std::shared_ptr<const store::CorpusStore> store_;  // keepalive
+  const int64_t bytes_;
 };
 
 struct DocumentCacheOptions {

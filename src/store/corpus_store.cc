@@ -1,8 +1,11 @@
 #include "src/store/corpus_store.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "src/html/parser.h"
 #include "src/util/bits.h"
@@ -139,12 +142,8 @@ std::string PackDocument(const tree::Tree& t, const util::Hash128& hash,
 util::Status CorpusStore::Builder::AddHtml(std::string_view html,
                                            const std::string& project_attr) {
   const util::Hash128 hash = util::HashBytes128(html);
-  MD_ASSIGN_OR_RETURN(html::Document doc, html::ParseHtml(html));
-  if (!project_attr.empty()) {
-    return AddTree(html::ProjectAttributeIntoLabels(doc, project_attr), hash,
-                   project_attr);
-  }
-  return AddTree(doc.tree(), hash, project_attr);
+  MD_ASSIGN_OR_RETURN(tree::Tree t, html::ParseTree(html, project_attr));
+  return AddTree(t, hash, project_attr);
 }
 
 util::Status CorpusStore::Builder::AddTree(const tree::Tree& t,
@@ -454,6 +453,13 @@ util::Result<FrozenDocument> CorpusStore::Materialize(
   const util::Status structure =
       tree::CheckStructure(doc.view, doc.num_labels);
   if (!structure.ok()) return corrupt(structure.message().c_str());
+  // MakeTree interns the alphabet by id order, which needs distinct names.
+  std::vector<std::string_view> names(labels);
+  for (int32_t id = 0; id < doc.num_labels; ++id) names[id] = doc.label(id);
+  std::sort(names.begin(), names.end());
+  if (std::adjacent_find(names.begin(), names.end()) != names.end()) {
+    return corrupt("duplicate label");
+  }
   return doc;
 }
 
@@ -461,7 +467,7 @@ tree::Tree FrozenDocument::MakeTree() const {
   util::Interner labels;
   for (int32_t id = 0; id < num_labels; ++id) {
     const util::SymbolId got = labels.Intern(label(id));
-    MD_CHECK(got == id);  // packed alphabets are duplicate-free by id order
+    MD_CHECK(got == id);  // Materialize rejected repeated names
   }
   return tree::Tree::FromFrozenView(view, std::move(labels));
 }

@@ -13,23 +13,6 @@ namespace mdatalog::stream {
 
 namespace {
 
-/// The label a node gets under attribute projection (Remark 2.2): the first
-/// occurrence of `attr` wins, and only a non-empty value projects — exactly
-/// ProjectAttributeIntoLabels' behavior, applied at creation time instead of
-/// in a post-parse tree copy.
-std::string ProjectedLabel(const std::string& tag,
-                           const std::vector<html::Attribute>& attrs,
-                           const std::string& attr) {
-  if (attr.empty()) return tag;
-  for (const html::Attribute& a : attrs) {
-    if (a.name == attr) {
-      if (a.value.empty()) return tag;
-      return tag + "@" + a.value;
-    }
-  }
-  return tag;
-}
-
 core::PredId EdbPred(const core::PredicateTable& preds,
                      const std::vector<bool>& intensional,
                      std::string_view name, int32_t arity) {
@@ -54,10 +37,10 @@ StreamSession::StreamSession(
     std::string project_attr, StreamOptions options,
     runtime::RequestOptions request, telemetry::Telemetry* telemetry)
     : program_(std::move(program)),
-      project_attr_(std::move(project_attr)),
       options_(std::move(options)),
       request_(std::move(request)),
       control_(request_.deadline, request_.cancel.get()),
+      tree_(project_attr, this),
       telemetry_(telemetry),
       external_trace_(request_.trace) {
   MD_CHECK(program_ != nullptr);
@@ -119,19 +102,16 @@ StreamSession::StreamSession(
                                 MaybeEmit(pred, node);
                               });
   }
-  // The synthetic root, exactly as the batch parser starts: whether it
-  // survives into the output tree is settled at end of input. Until then the
-  // two evaluators disagree about it by design: the kept world knows
-  // everything about node 0 up front, the stripped world never hears of it
-  // (node 0 enters its domain factless and linkless, so no derivation can
-  // ever touch it).
-  const tree::NodeId root = builder_.Root("#document");
-  stack_.emplace_back(root, "#document");
-  num_children_.push_back(0);
+  // The tree constructor's synthetic root (node 0): whether it survives into
+  // the output tree is settled at end of input. Until then the two
+  // evaluators disagree about it by design: the kept world knows everything
+  // about node 0 up front, the stripped world never hears of it (node 0
+  // enters its domain factless and linkless, so no derivation can ever touch
+  // it).
   closed_.push_back(false);
   if (incremental_) {
-    eval_stripped_->AddNode(root, -1);
-    eval_kept_->AddNode(root, -1);
+    eval_stripped_->AddNode(0, -1);
+    eval_kept_->AddNode(0, -1);
     AssertUnary(eval_kept_.get(), root_pred_, 0);
     AssertLabel(eval_kept_.get(), "#document", 0);
   }
@@ -207,7 +187,7 @@ void StreamSession::SettleSessionTrace() {
   telemetry::TraceContext* trace = cur_trace();
   if (trace == nullptr) return;
   trace->set_page_bytes(bytes_fed_);
-  trace->set_nodes(builder_.size());
+  trace->set_nodes(tree_.builder().size());
   const util::StatusCode code =
       status_.ok() ? util::StatusCode::kOk : status_.code();
   if (trace_ != nullptr && telemetry_ != nullptr) {
@@ -237,76 +217,22 @@ util::Status StreamSession::FeedImpl(std::string_view chunk) {
   std::vector<html::Token> tokens;
   util::Status s = tokenizer_.Feed(chunk, &tokens, control());
   if (!s.ok()) return Terminal(std::move(s));
-  const int32_t nodes_before = builder_.size();
-  ProcessTokens(tokens);
-  span.Value("nodes", builder_.size() - nodes_before);
+  const int32_t nodes_before = tree_.builder().size();
+  for (const html::Token& token : tokens) tree_.Add(token);
+  span.Value("nodes", tree_.builder().size() - nodes_before);
   s = PropagateAll();
   if (!s.ok()) return Terminal(std::move(s));
   UpdateEdbPeak();
   return util::Status::OK();
 }
 
-void StreamSession::ProcessTokens(const std::vector<html::Token>& tokens) {
-  // Token-for-token the batch parser's tree construction (html/parser.cc):
-  // any divergence here would break the byte-identical-to-batch invariant.
-  for (const html::Token& token : tokens) {
-    switch (token.type) {
-      case html::Token::Type::kDoctype:
-      case html::Token::Type::kComment:
-        break;  // not represented in the document tree
-      case html::Token::Type::kText: {
-        const tree::NodeId n = CreateNode("#text");
-        builder_.SetText(n, token.data);
-        CloseNode(n);
-        break;
-      }
-      case html::Token::Type::kStartTag: {
-        const std::vector<std::string>& closes = html::AutoCloses(token.data);
-        while (stack_.size() > 1 &&
-               std::find(closes.begin(), closes.end(),
-                         stack_.back().second) != closes.end()) {
-          CloseNode(stack_.back().first);
-          stack_.pop_back();
-        }
-        const tree::NodeId n = CreateNode(
-            ProjectedLabel(token.data, token.attrs, project_attr_));
-        if (!html::IsVoidElement(token.data) && !token.self_closing) {
-          stack_.emplace_back(n, token.data);
-        } else {
-          CloseNode(n);
-        }
-        break;
-      }
-      case html::Token::Type::kEndTag: {
-        int32_t match = -1;
-        for (int32_t i = static_cast<int32_t>(stack_.size()) - 1; i >= 1;
-             --i) {
-          if (stack_[i].second == token.data) {
-            match = i;
-            break;
-          }
-        }
-        if (match >= 1) {
-          while (static_cast<int32_t>(stack_.size()) > match) {
-            CloseNode(stack_.back().first);
-            stack_.pop_back();
-          }
-        }
-        break;
-      }
-    }
-  }
-}
-
-tree::NodeId StreamSession::CreateNode(const std::string& label) {
-  const tree::NodeId parent = stack_.back().first;
-  const tree::NodeId n = builder_.Child(parent, label);
-  num_children_.push_back(0);
+void StreamSession::NodeCreated(tree::NodeId n, tree::NodeId parent,
+                                int32_t k, const html::Token& /*token*/) {
   closed_.push_back(false);
   peak_live_nodes_ = std::max(peak_live_nodes_, ++live_nodes_);
-  const int32_t k = ++num_children_[parent];
-  const tree::NodeId prev = builder_.prev_sibling(n);
-  if (!incremental_) return n;
+  if (!incremental_) return;
+  const tree::NodeId prev = tree_.builder().prev_sibling(n);
+  const std::string& label = tree_.builder().label_name(n);
 
   // A second top-level node refutes the stripped hypothesis before any fact
   // about this node is asserted.
@@ -345,14 +271,13 @@ tree::NodeId StreamSession::CreateNode(const std::string& label) {
     AssertBinary(eval_kept_.get(), child_pred_, parent, n);
     AssertChildK(eval_kept_.get(), k, parent, n);
   }
-  return n;
 }
 
-void StreamSession::CloseNode(tree::NodeId n) {
+void StreamSession::NodeClosed(tree::NodeId n) {
   closed_[n] = true;
   --live_nodes_;
   if (!incremental_) return;
-  const tree::NodeId lc = builder_.last_child(n);
+  const tree::NodeId lc = tree_.builder().last_child(n);
   for (IncrementalTmnfEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
     if (ev == nullptr) continue;
     if (lc == tree::kNoNode) {
@@ -428,11 +353,12 @@ void StreamSession::EmitResult(int32_t pattern_index, tree::NodeId node) {
   if (!options_.on_result) return;
   StreamResult result;
   result.pattern = program_->prepared.extraction_patterns[pattern_index];
-  result.label = builder_.label_name(node);
+  const tree::TreeBuilder& partial = tree_.builder();
+  result.label = partial.label_name(node);
   // The node's subtree has closed: it is the id range [node, last] of the
   // partial tree, concatenated exactly like Tree::SubtreeText.
-  const tree::NodeId last = tree::LastDescendant(builder_, node);
-  for (tree::NodeId m = node; m <= last; ++m) result.text += builder_.text(m);
+  const tree::NodeId last = tree::LastDescendant(partial, node);
+  for (tree::NodeId m = node; m <= last; ++m) result.text += partial.text(m);
   result.node = node;
   options_.on_result(result);
 }
@@ -452,28 +378,24 @@ util::Result<std::string> StreamSession::FinishImpl() {
   std::vector<html::Token> tokens;
   util::Status s = tokenizer_.Finish(&tokens, control());
   if (!s.ok()) return Terminal(std::move(s));
-  ProcessTokens(tokens);
-  // End of input closes everything still open (batch: remaining stack).
-  while (stack_.size() > 1) {
-    CloseNode(stack_.back().first);
-    stack_.pop_back();
-  }
-  if (builder_.size() == 1) {
-    return Terminal(util::Status::InvalidArgument("no content in HTML input"));
-  }
+  for (const html::Token& token : tokens) tree_.Add(token);
+  // End of input closes everything still open.
+  s = tree_.Finish();
+  if (!s.ok()) return Terminal(std::move(s));
+  stripped_ = tree_.strips_root();
 
   IncrementalTmnfEval* winner = nullptr;
   if (incremental_) {
-    if (!settled_) {
+    MD_DCHECK(stripped_ == !settled_);
+    if (stripped_) {
       // Exactly one top-level node: the stripped hypothesis held. Its
       // evaluator has been complete since the last fact (root(1) was
       // asserted when node 1 was created).
-      stripped_ = true;
       eval_kept_.reset();
       winner = eval_stripped_.get();
     } else {
       winner = eval_kept_.get();
-      const tree::NodeId lc = builder_.last_child(0);
+      const tree::NodeId lc = tree_.builder().last_child(0);
       AssertUnary(winner, lastsibling_pred_, lc);
       AssertBinary(winner, lastchild_pred_, 0, lc);
     }
@@ -489,16 +411,9 @@ util::Result<std::string> StreamSession::FinishImpl() {
     // the winner derived on closed subtrees (i.e. everything) must be out
     // before Finish returns.
     FlushEligible();
-  } else {
-    stripped_ = builder_.first_child(0) != tree::kNoNode &&
-                builder_.next_sibling(builder_.first_child(0)) ==
-                    tree::kNoNode;
   }
 
-  tree::Tree full = builder_.Build();
-  tree::Tree out_tree = stripped_
-                            ? tree::CopySubtree(full, full.first_child(0))
-                            : std::move(full);
+  const tree::Tree out_tree = tree_.Build();
 
   elog::ElogResult matches;
   const auto& patterns = program_->prepared.extraction_patterns;

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/html/parser.h"
 #include "src/html/tokenizer.h"
 #include "src/runtime/runtime.h"
 #include "src/stream/incremental_eval.h"
@@ -19,7 +20,8 @@
 /// \file stream_session.h
 /// Streaming incremental extraction: one wrap request whose page arrives in
 /// chunks. Feed() pushes bytes through the incremental tokenizer, grows the
-/// document tree, asserts EDB facts the moment they become finally true, and
+/// document tree with the batch parsers' html::TreeConstructor, asserts EDB
+/// facts from its node events the moment they become finally true, and
 /// runs semi-naive delta rounds over the compiled TMNF program — extraction
 /// results are emitted via StreamOptions::on_result as soon as they are both
 /// derived and final, typically long before end of input. Finish() settles
@@ -33,9 +35,9 @@
 /// closes. The EDB is therefore insert-only, datalog is monotone, and every
 /// pre-EOF derivation is sound — see incremental_eval.h.
 ///
-/// The one fact that is NOT known before end of input is the root: the batch
-/// parser strips the synthetic "#document" node when it ends up with exactly
-/// one top-level child, so `root` is node 1 (internal) for ordinary
+/// The one fact that is NOT known before end of input is the root: the tree
+/// constructor strips the synthetic "#document" node when it ends up with
+/// exactly one top-level child, so `root` is node 1 (internal) for ordinary
 /// single-rooted HTML and node 0 for multi-rooted fragments — and almost
 /// every derivation chain starts at `root`. Waiting for EOF would kill
 /// streaming. Instead the session runs the SAME insert-only evaluator under
@@ -55,7 +57,7 @@
 
 namespace mdatalog::stream {
 
-class StreamSession {
+class StreamSession : private html::TreeConstructor::Observer {
  public:
   /// `program` is a compiled wrapper from the runtime's program cache;
   /// `project_attr` mirrors WrapperHandle::project_attr (Remark 2.2
@@ -133,10 +135,10 @@ class StreamSession {
   }
   void UpdateEdbPeak();
 
-  void ProcessTokens(const std::vector<html::Token>& tokens);
-  /// `label` is already projected (Remark 2.2); attributes are not retained.
-  tree::NodeId CreateNode(const std::string& label);
-  void CloseNode(tree::NodeId n);
+  /// Tree events: assert the facts that just became final.
+  void NodeCreated(tree::NodeId n, tree::NodeId parent, int32_t k,
+                   const html::Token& token) override;
+  void NodeClosed(tree::NodeId n) override;
   /// Second top-level node arrived: the root is definitely kept. Drops the
   /// stripped-hypothesis evaluator and flushes everything the kept world has
   /// already derived on closed subtrees.
@@ -168,18 +170,13 @@ class StreamSession {
                     tree::NodeId child);
 
   const std::shared_ptr<const runtime::CompiledWrapperProgram> program_;
-  const std::string project_attr_;
   const StreamOptions options_;
   const runtime::RequestOptions request_;  // keeps the cancel token alive
   const util::EvalControl control_;
 
   html::StreamTokenizer tokenizer_;
-  tree::TreeBuilder builder_;
-  /// Open nodes, innermost last: (node, tag name). Mirrors the batch
-  /// parser's stack exactly (auto-close, unmatched end tags, void elements).
-  std::vector<std::pair<tree::NodeId, std::string>> stack_;
-  std::vector<int32_t> num_children_;  // per node, grows with the tree
-  std::vector<bool> closed_;           // per node: subtree complete
+  html::TreeConstructor tree_;  // reports to this session's Node* events
+  std::vector<bool> closed_;    // per node: subtree complete
 
   /// The two hypothesis worlds, both engaged when the program's TMNF
   /// compiled for incremental evaluation; the loser is reset at resolution.
@@ -201,7 +198,7 @@ class StreamSession {
   std::unordered_map<uint64_t, uint8_t> derived_;
 
   bool settled_ = false;   // true once a second top-level node exists (kept)
-  bool stripped_ = false;  // decided at Finish when still unsettled
+  bool stripped_ = false;  // the root-strip verdict, decided at Finish
   bool finished_ = false;
   bool terminal_ = false;  // on_finish fired
   util::Status status_;    // first error, latched

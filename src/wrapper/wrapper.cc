@@ -114,8 +114,8 @@ util::Result<Tree> WrapTree(const PreparedWrapper& wrapper, const Tree& t,
 
 util::Result<std::string> WrapHtmlToXml(const Wrapper& wrapper,
                                         std::string_view html) {
-  MD_ASSIGN_OR_RETURN(html::Document doc, html::ParseHtml(html));
-  MD_ASSIGN_OR_RETURN(Tree out, WrapTree(wrapper, doc.tree()));
+  MD_ASSIGN_OR_RETURN(Tree t, html::ParseTree(html, {}));
+  MD_ASSIGN_OR_RETURN(Tree out, WrapTree(wrapper, t));
   return tree::ToXml(out);
 }
 

@@ -5,6 +5,7 @@
 #include "src/html/tokenizer.h"
 #include "src/tree/serialize.h"
 #include "src/util/rng.h"
+#include "tests/random_garbage.h"
 
 namespace mdatalog::html {
 namespace {
@@ -197,6 +198,58 @@ TEST(ParserTest, ProjectAttributeIntoLabels) {
   tree::Tree t = ProjectAttributeIntoLabels(*doc, "class");
   EXPECT_EQ(t.label_name(t.root()), "div@main");
   EXPECT_EQ(t.label_name(t.first_child(t.root())), "span@price");
+
+  // ParseTree projects while it builds: it must give exactly the tree of
+  // the parse-then-project pair, on every input shape.
+  std::vector<std::string> pages = {
+      // The pathological shapes of the tests above.
+      "<html><body><p>hi</p></body></html>",
+      "<p>a</p><p>b</p>",
+      "<div><br><img src=x><span>y</span></div>",
+      "<ul><li>a<li>b<li>c</ul>",
+      "<table><tr><td>1<td>2<tr><td>3</table>",
+      "<ul><li>a<ul><li>a1<li>a2</ul></li><li>b</ul>",
+      "<div><p>x</span></p></div>",
+      "<div><p>x",
+      "",
+      "   \n  ",
+      "<!-- only a comment -->",
+      "just text",
+      "<div class=main id=top><a href=\"/x\">l</a></div>",
+      "<a x=1 === y='2' \"stray\" z>t</a>",
+      // Projection edge cases: the first occurrence wins, empty values and
+      // bare attributes do not project.
+      "<p class=a class=b>x</p><p class='' class=c>y</p><p class>z</p>",
+  };
+  util::Rng rng(1);
+  CatalogOptions opts;
+  opts.num_items = 9;
+  opts.with_ads = true;
+  pages.push_back(ProductCatalogPage(rng, opts));
+  opts.alt_layout = true;
+  pages.push_back(ProductCatalogPage(rng, opts));
+  pages.push_back(NewsIndexPage(rng, 12));
+  pages.push_back(NestedBoardPage(rng, 3, 2));
+  // RobustnessTest.HtmlParserSurvivesGarbage's corpus.
+  util::Rng garbage(77);
+  for (int trial = 0; trial < 300; ++trial) {
+    pages.push_back(
+        testing_util::RandomGarbage(garbage, 1 + garbage.Below(120)));
+  }
+  for (const std::string& page : pages) {
+    for (const std::string attr : {"", "class"}) {
+      SCOPED_TRACE("attr '" + attr + "' page: " + page);
+      auto want = ParseHtml(page);
+      auto got = ParseTree(page, attr);
+      ASSERT_EQ(got.ok(), want.ok());
+      if (!want.ok()) {
+        EXPECT_EQ(got.status().code(), want.status().code());
+        continue;
+      }
+      EXPECT_TRUE(
+          tree::TreesEqual(*got, ProjectAttributeIntoLabels(*want, attr)));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

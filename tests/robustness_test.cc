@@ -30,6 +30,7 @@
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
 #include "src/xpath/xpath.h"
+#include "tests/random_garbage.h"
 
 namespace mdatalog {
 namespace {
@@ -38,17 +39,7 @@ namespace {
 // Fuzz-ish inputs: random byte soup through every parser
 // ---------------------------------------------------------------------------
 
-std::string RandomGarbage(util::Rng& rng, int32_t len) {
-  // string_view, and the bound derived from it: a hand-counted literal pool
-  // size read past the terminator (caught by ASan in CI).
-  constexpr std::string_view pool =
-      "abcXY_()[]{}<>/\\.,:;|&~^-=*+\"'0123456789 \t\n%@#!?";
-  std::string out;
-  for (int32_t i = 0; i < len; ++i) {
-    out += pool[rng.Below(pool.size())];
-  }
-  return out;
-}
+using testing_util::RandomGarbage;
 
 TEST(RobustnessTest, ParsersSurviveGarbage) {
   util::Rng rng(20260610);

@@ -182,6 +182,22 @@ TEST(DocumentCacheTest, ZeroBudgetDisablesCaching) {
   EXPECT_EQ(cache.stats().entries, 0);
 }
 
+TEST(DocumentCacheTest, ChargesOnlyTheEvaluationTree) {
+  // A cached document holds the one tree wrappers evaluate over: no raw
+  // parse tree beside the projected one and no attribute strings, so its
+  // charge is exactly that tree's heap.
+  const std::string page = CatalogPage(11, 40);
+  auto doc = runtime::CachedDocument::Parse(page, "class");
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ((*doc)->ApproxBytes(),
+            static_cast<int64_t>(sizeof(runtime::CachedDocument)) +
+                (*doc)->tree().ApproxBytes());
+  auto parsed = html::ParseHtml(page);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_TRUE(tree::TreesEqual(
+      (*doc)->tree(), html::ProjectAttributeIntoLabels(*parsed, "class")));
+}
+
 TEST(DocumentCacheTest, OversizedEntryIsDeclinedWithoutFlushingTheShard) {
   // A page whose charge exceeds the whole shard budget can never fit. It is
   // served uncached and booked as an admission reject; it must not evict the
@@ -311,7 +327,7 @@ TEST(DocumentCacheTest, StoreHitsNotDoubleCountedUnderRace) {
       gate.arrive_and_wait();
       auto doc = cache.GetOrParse(pages[r], "");
       ASSERT_TRUE(doc.ok());
-      EXPECT_FALSE((*doc)->has_html());  // served from the store
+      EXPECT_TRUE((*doc)->tree().frozen());  // served from the store
     }
   };
   std::thread a(worker), b(worker);

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -225,11 +226,11 @@ TEST(CorpusStoreTest, RejectsForgedNodeColumnsAsDataLoss) {
     std::memcpy(&v, clean.data() + blob + at, sizeof(v));
     return v;
   };
-  // Writes `value` at blob offset `at`, re-seals the (unkeyed) checksum the
+  // Writes `patch` at blob offset `at`, re-seals the (unkeyed) checksum the
   // way a forger would, and serves the document.
-  const auto serve_forged = [&](size_t at, int32_t value) {
+  const auto serve_patched = [&](size_t at, std::string_view patch) {
     std::string bytes = clean;
-    std::memcpy(bytes.data() + blob + at, &value, sizeof(value));
+    std::memcpy(bytes.data() + blob + at, patch.data(), patch.size());
     store::DocHeader sealed = h;
     sealed.payload_checksum = store::Checksum64(
         bytes.data() + blob + sizeof(h), h.blob_size - sizeof(h));
@@ -239,6 +240,11 @@ TEST(CorpusStoreTest, RejectsForgedNodeColumnsAsDataLoss) {
     EXPECT_TRUE(store.ok()) << store.status().ToString();
     return store.ok() ? (*store)->Get(0).status().code()
                       : util::StatusCode::kOk;
+  };
+  const auto serve_forged = [&](size_t at, int32_t value) {
+    return serve_patched(
+        at, std::string_view(reinterpret_cast<const char*>(&value),
+                             sizeof(value)));
   };
   // Re-parent one node onto its predecessor: every id stays in range, but
   // the sibling links no longer match.
@@ -251,6 +257,23 @@ TEST(CorpusStoreTest, RejectsForgedNodeColumnsAsDataLoss) {
   // A label offset past its successor: that label's length would underflow.
   ASSERT_GE(h.num_labels, 2u);
   EXPECT_EQ(serve_forged(h.off_labels + 4, read32(h.off_labels + 8) + 1),
+            util::StatusCode::kDataLoss);
+  // One label's bytes copied over a later one of equal length: every offset
+  // stays valid, but the alphabet now repeats a name.
+  const size_t label_bytes = h.off_labels + 4 * (h.num_labels + 1);
+  const auto label_at = [&](uint32_t id) {
+    const int32_t begin = read32(h.off_labels + 4 * id);
+    const int32_t end = read32(h.off_labels + 4 * (id + 1));
+    return std::string_view(clean).substr(blob + label_bytes + begin,
+                                          end - begin);
+  };
+  uint32_t a = 0, b = 1;
+  while (label_at(a).size() != label_at(b).size()) {
+    if (++b == h.num_labels) b = ++a + 1;
+    ASSERT_LT(b, h.num_labels) << "no two labels of equal length";
+  }
+  EXPECT_EQ(serve_patched(label_bytes + read32(h.off_labels + 4 * b),
+                          label_at(a)),
             util::StatusCode::kDataLoss);
 }
 
