@@ -10,16 +10,11 @@
 // fixed tree.
 //
 // Series 3 (fragments, Props 3.6/3.7): a guarded / LIT-style program.
-//
-// Series 4 (old vs new): the same workloads on the pre-rewrite reference
-// engines (reference_eval.h: per-enumeration planning, map stores,
-// string-keyed EDB access) — the deltas document the compiled-engine win.
 
 #include <benchmark/benchmark.h>
 
 #include "src/core/examples.h"
 #include "src/core/grounder.h"
-#include "src/core/reference_eval.h"
 #include "src/tree/generator.h"
 #include "src/util/rng.h"
 
@@ -68,18 +63,6 @@ void BM_ProgramSize_Grounded(benchmark::State& state) {
 }
 BENCHMARK(BM_ProgramSize_Grounded)->Range(8, 1 << 9)->Complexity();
 
-void BM_EvenA_SemiNaive_Reference(benchmark::State& state) {
-  tree::Tree t = MakeTree(state.range(0));
-  core::Program p = core::EvenAProgram({"b", "c"});
-  core::TreeDatabase db(t);
-  for (auto _ : state) {
-    auto r = core::EvaluateSemiNaiveReference(p, db);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_EvenA_SemiNaive_Reference)->Range(1 << 10, 1 << 15)->Complexity();
-
 void BM_GuardedFragment_SemiNaive(benchmark::State& state) {
   tree::Tree t = MakeTree(state.range(0));
   core::Program p = core::HasAncestorProgram("a");
@@ -91,20 +74,6 @@ void BM_GuardedFragment_SemiNaive(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_GuardedFragment_SemiNaive)->Range(1 << 10, 1 << 15)->Complexity();
-
-void BM_GuardedFragment_SemiNaive_Reference(benchmark::State& state) {
-  tree::Tree t = MakeTree(state.range(0));
-  core::Program p = core::HasAncestorProgram("a");
-  core::TreeDatabase db(t);
-  for (auto _ : state) {
-    auto r = core::EvaluateSemiNaiveReference(p, db);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_GuardedFragment_SemiNaive_Reference)
-    ->Range(1 << 10, 1 << 15)
-    ->Complexity();
 
 void BM_GuardedFragment_Grounded(benchmark::State& state) {
   // HasAncestor is guarded (every binary rule has a guard atom) — the

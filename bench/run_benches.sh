@@ -6,9 +6,12 @@
 # is tracked across PRs.
 #
 # Usage: bench/run_benches.sh [build_dir] [benchmark_filter]
+#        bench/run_benches.sh --list
 #   build_dir         defaults to ./build (configured+built already, or this
 #                     script configures and builds it)
 #   benchmark_filter  defaults to all benchmarks in each suite
+#   --list            prints each suite's output file, one per line, and runs
+#                     nothing (CI's bench-regression job loops over it)
 
 set -euo pipefail
 
@@ -39,6 +42,14 @@ SUITES=(
   "bench_telemetry BENCH_telemetry.json --benchmark_min_time=0.2"
   "bench_qos BENCH_qos.json --benchmark_min_time=0.2"
 )
+
+if [[ "${1:-}" == "--list" ]]; then
+  for suite in "${SUITES[@]}"; do
+    read -r _ out _ <<<"${suite}"
+    echo "${out}"
+  done
+  exit 0
+fi
 
 targets=()
 for suite in "${SUITES[@]}"; do

@@ -5,7 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 #include "src/tmnf/pipeline.h"
 #include "src/util/check.h"
 
@@ -20,17 +20,10 @@ using core::Rule;
 using core::Term;
 
 /// Binary tree predicates whose second argument necessarily has a parent
-/// (it is some node's child): child, firstchild, lastchild, child<k>.
-bool IsParentChildPred(const std::string& name) {
-  if (name == "child" || name == "firstchild" || name == "lastchild") {
-    return true;
-  }
-  if (name.rfind("child", 0) != 0 || name.size() <= 5) return false;
-  for (size_t i = 5; i < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return false;
-  }
-  return true;
-}
+/// (it is some node's child).
+constexpr core::SchemaSet kParentChild{
+    core::SchemaPred::kChild, core::SchemaPred::kFirstChild,
+    core::SchemaPred::kLastChild, core::SchemaPred::kChildK};
 
 /// Tree-axiom unsatisfiability of a rule body (Section 2 semantics: the
 /// root is neither a first nor a last sibling and has no parent; a leaf has
@@ -51,32 +44,28 @@ bool BodyUnsatOnTrees(const Program& program, const Rule& rule,
   const auto& preds = program.preds();
   for (const Atom& a : rule.body) {
     if (intensional[a.pred]) continue;
-    const std::string& name = preds.Name(a.pred);
-    if (!core::TreeDatabase::IsTreePredicate(
-            name, static_cast<int32_t>(a.args.size()))) {
-      continue;
-    }
+    std::optional<core::SchemaRef> ref = core::ClassifySchemaPred(
+        preds.Name(a.pred), static_cast<int32_t>(a.args.size()));
+    if (!ref.has_value()) continue;
     if (a.args.size() == 1 && a.args[0].is_var()) {
       VarFacts& f = facts[a.args[0].value];
-      if (name == "root") {
-        f.is_root = true;
-      } else if (name == "leaf") {
-        f.is_leaf = true;
-      } else if (name == "lastsibling") {
-        f.is_lastsibling = true;
-      } else if (name == "firstsibling") {
-        f.is_firstsibling = true;
-      } else {
-        std::string label = core::LabelFromPredName(name);
-        if (!label.empty()) f.labels.insert(std::move(label));
+      switch (ref->pred) {
+        case core::SchemaPred::kRoot: f.is_root = true; break;
+        case core::SchemaPred::kLeaf: f.is_leaf = true; break;
+        case core::SchemaPred::kLastSibling: f.is_lastsibling = true; break;
+        case core::SchemaPred::kFirstSibling: f.is_firstsibling = true; break;
+        case core::SchemaPred::kLabel:
+          f.labels.insert(std::move(ref->label));
+          break;
+        default: break;
       }
     } else if (a.args.size() == 2 && a.args[0].is_var() &&
                a.args[1].is_var()) {
       // nextsibling_tc is reflexive and constrains nothing on its own.
-      if (IsParentChildPred(name)) {
+      if (kParentChild.contains(ref->pred)) {
         facts[a.args[0].value].has_child = true;
         facts[a.args[1].value].has_parent = true;
-      } else if (name == "nextsibling") {
+      } else if (ref->pred == core::SchemaPred::kNextSibling) {
         facts[a.args[0].value].has_next = true;
         facts[a.args[1].value].has_prev = true;
       }

@@ -2,7 +2,7 @@
 
 #include <unordered_map>
 
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 
 namespace mdatalog::analysis {
 
@@ -31,7 +31,7 @@ void TmnfView::RelabelInto(std::vector<std::string>* alphabet) {
     }
   }
   auto fix = [&](OperandRef& op) {
-    if (op.is_edb && op.edb.kind == EdbRef::Kind::kLabel) {
+    if (op.is_edb && op.edb.kind == core::SchemaPred::kLabel) {
       op.edb.label = remap[op.edb.label];
     }
   };
@@ -63,45 +63,32 @@ util::Result<TmnfView> TmnfView::Parse(const Program& program) {
   };
 
   // Resolves a unary body predicate into an EDB symbol or IDB index.
-  auto resolve_unary = [&](PredId p) -> util::Result<OperandRef> {
+  auto resolve_unary = [&](PredId p) {
     OperandRef op;
     if (intensional[p]) {
       op.is_edb = false;
       op.idb = idb_of(p);
       return op;
     }
-    const std::string& name = preds.Name(p);
+    // Every unary schema predicate is an EDB test. A non-schema predicate
+    // with no rules is provably empty: model it as an IDB predicate with no
+    // supporting rules.
+    std::optional<core::SchemaRef> ref =
+        core::ClassifySchemaPred(preds.Name(p), 1);
+    if (!ref.has_value()) {
+      op.is_edb = false;
+      op.idb = idb_of(p);
+      return op;
+    }
     op.is_edb = true;
-    if (name == "root") {
-      op.edb.kind = EdbRef::Kind::kRoot;
-    } else if (name == "leaf") {
-      op.edb.kind = EdbRef::Kind::kLeaf;
-    } else if (name == "lastsibling") {
-      op.edb.kind = EdbRef::Kind::kLastSibling;
-    } else if (name == "firstsibling") {
-      op.edb.kind = EdbRef::Kind::kFirstSibling;
-    } else {
-      std::string label = core::LabelFromPredName(name);
-      if (label.empty()) {
-        if (core::TreeDatabase::IsTreePredicate(name, 1)) {
-          return util::Status::InvalidArgument(
-              "predicate '" + name + "' is outside the τ_ur unary schema "
-              "(root/leaf/lastsibling/firstsibling/label_*) supported by the "
-              "encoder");
-        }
-        // A non-schema predicate with no rules: provably empty — model it
-        // as an IDB predicate with no supporting rules.
-        op.is_edb = false;
-        op.idb = idb_of(p);
-        return op;
-      }
-      op.edb.kind = EdbRef::Kind::kLabel;
-      auto it = label_index.find(label);
+    op.edb.kind = ref->pred;
+    if (ref->pred == core::SchemaPred::kLabel) {
+      auto it = label_index.find(ref->label);
       if (it == label_index.end()) {
         it = label_index
-                 .emplace(label, static_cast<int32_t>(view.labels.size()))
+                 .emplace(ref->label, static_cast<int32_t>(view.labels.size()))
                  .first;
-        view.labels.push_back(label);
+        view.labels.push_back(ref->label);
       }
       op.edb.label = it->second;
     }
@@ -148,33 +135,33 @@ util::Result<TmnfView> TmnfView::Parse(const Program& program) {
       }
       if (unary.size() == 1) {
         rv.kind = TmnfRuleView::Kind::kCopy;
-        MD_ASSIGN_OR_RETURN(rv.op0, resolve_unary(unary[0]->pred));
+        rv.op0 = resolve_unary(unary[0]->pred);
       } else if (unary.size() == 2) {
         rv.kind = TmnfRuleView::Kind::kAnd;
-        MD_ASSIGN_OR_RETURN(rv.op0, resolve_unary(unary[0]->pred));
-        MD_ASSIGN_OR_RETURN(rv.op1, resolve_unary(unary[1]->pred));
+        rv.op0 = resolve_unary(unary[0]->pred);
+        rv.op1 = resolve_unary(unary[1]->pred);
       } else {
         return fail("expected 1 or 2 unary body atoms");
       }
     } else if (binary.size() == 1 && unary.size() == 1) {
       // Form (2): p(x) ← p0(x0), B(x0, x) with B = R or R⁻¹.
       const Atom* b = binary[0];
-      const std::string& bname = preds.Name(b->pred);
-      if (intensional[b->pred] ||
-          (bname != "firstchild" && bname != "nextsibling")) {
+      const std::optional<core::SchemaRef> bref =
+          core::ClassifySchemaPred(preds.Name(b->pred), 2);
+      if (intensional[b->pred] || !core::kUrBinary.contains(bref)) {
         return fail("binary atom is not firstchild/nextsibling");
       }
+      const bool firstchild = bref->pred == core::SchemaPred::kFirstChild;
       const int32_t a0 = b->args[0].value, a1 = b->args[1].value;
       const int32_t body_var = unary[0]->args[0].value;
       int32_t support_var;
       if (a1 == head_var && a0 != head_var) {
         support_var = a0;  // B(x0, x)
-        rv.dir = bname == "firstchild" ? StepDir::kFromParent
-                                       : StepDir::kFromPrevSibling;
+        rv.dir = firstchild ? StepDir::kFromParent : StepDir::kFromPrevSibling;
       } else if (a0 == head_var && a1 != head_var) {
         support_var = a1;  // B(x, x0): the inverse orientation
-        rv.dir = bname == "firstchild" ? StepDir::kFromFirstChild
-                                       : StepDir::kFromNextSibling;
+        rv.dir =
+            firstchild ? StepDir::kFromFirstChild : StepDir::kFromNextSibling;
       } else {
         return fail("binary atom does not link head to a fresh variable");
       }
@@ -182,7 +169,7 @@ util::Result<TmnfView> TmnfView::Parse(const Program& program) {
         return fail("unary body atom off the step's source variable");
       }
       rv.kind = TmnfRuleView::Kind::kStep;
-      MD_ASSIGN_OR_RETURN(rv.op0, resolve_unary(unary[0]->pred));
+      rv.op0 = resolve_unary(unary[0]->pred);
     } else {
       return fail("unsupported body shape");
     }
@@ -196,7 +183,7 @@ util::Result<TmnfView> TmnfView::Parse(const Program& program) {
   // it as empty.
   const PredId q = program.query_pred();
   if (!intensional[q] &&
-      core::TreeDatabase::IsTreePredicate(preds.Name(q), preds.Arity(q))) {
+      core::ClassifySchemaPred(preds.Name(q), preds.Arity(q)).has_value()) {
     return util::Status::InvalidArgument(
         "query predicate '" + preds.Name(q) + "' is a τ_ur schema predicate");
   }

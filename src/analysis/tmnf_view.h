@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/core/ast.h"
+#include "src/core/tree_schema.h"
 #include "src/util/result.h"
 
 /// \file tmnf_view.h
@@ -13,9 +14,9 @@
 /// SAT-backed containment encoder (containment.h).
 ///
 /// TMNF rules have exactly three shapes; the view classifies each rule and
-/// resolves every predicate occurrence into either a τ_ur EDB symbol or a
-/// dense local IDB index, so the encoder never touches strings or the
-/// PredicateTable on its hot path:
+/// resolves every predicate occurrence into either a schema kind
+/// (ClassifySchemaPred, core/tree_schema.h) or a dense local IDB index, so
+/// the encoder never touches strings or the PredicateTable on its hot path:
 ///
 ///   kCopy:  p(x) ← p0(x).                (p0 unary EDB or IDB)
 ///   kStep:  p(x) ← p0(x0), B(x0, x).     (B ∈ {firstchild, nextsibling},
@@ -24,12 +25,11 @@
 
 namespace mdatalog::analysis {
 
-/// The τ_ur unary EDB symbols a TMNF body may test. Labels carry the label
+/// A unary schema predicate a TMNF body tests (root, leaf, lastsibling,
+/// firstsibling, label_<a>; see core/tree_schema.h). Labels carry the label
 /// index into TmnfView::labels.
 struct EdbRef {
-  enum class Kind : uint8_t { kRoot, kLeaf, kLastSibling, kFirstSibling,
-                              kLabel };
-  Kind kind = Kind::kRoot;
+  core::SchemaPred kind = core::SchemaPred::kRoot;
   int32_t label = -1;  ///< index into TmnfView::labels when kind == kLabel
 };
 

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <set>
 
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 
 namespace mdatalog::caterpillar {
 
-using tree::kNoNode;
 using tree::NodeId;
 using tree::Tree;
 
@@ -23,78 +22,28 @@ util::Status UnknownTest(const std::string& name) {
                                        "' in caterpillar expression");
 }
 
-bool IsKnownRel(const std::string& name) {
-  return name == "firstchild" || name == "nextsibling" || name == "child" ||
-         name == "lastchild" || core::ChildKIndex(name) >= 1;
-}
+/// The caterpillar signature (eval.h).
+constexpr core::SchemaSet kTests = core::kUnarySchema;
+constexpr core::SchemaSet kRels =
+    core::kFunctionalAxes |
+    core::SchemaSet{core::SchemaPred::kChild, core::SchemaPred::kLastChild};
 
-util::Result<bool> CheckTest(const Tree& t, const std::string& name,
-                             NodeId n) {
-  if (name == "root") return t.IsRoot(n);
-  if (name == "leaf") return t.IsLeaf(n);
-  if (name == "lastsibling") return t.IsLastSibling(n);
-  if (name == "firstsibling") return t.IsFirstSibling(n);
-  std::string label = core::LabelFromPredName(name);
-  if (!label.empty()) return t.label_name(n) == label;
-  return UnknownTest(name);
-}
+/// A test or relation name resolved against one tree; `known` is false for a
+/// name outside the caterpillar signature.
+struct Resolved {
+  bool known = false;
+  core::SchemaPred pred = core::SchemaPred::kRoot;
+  int32_t k = 0;                               ///< child<k>
+  tree::LabelId label = util::kInvalidSymbol;  ///< label_<l>
+};
 
-/// Applies one kRel move from node n, invoking `emit` per successor node.
-template <typename Emit>
-util::Status ApplyRel(const Tree& t, const std::string& name, bool inverted,
-                      NodeId n, Emit emit) {
-  if (name == "firstchild") {
-    if (!inverted) {
-      if (t.first_child(n) != kNoNode) emit(t.first_child(n));
-    } else if (t.IsFirstSibling(n)) {
-      emit(t.parent(n));
-    }
-    return util::Status::OK();
-  }
-  if (name == "nextsibling") {
-    NodeId m = inverted ? t.prev_sibling(n) : t.next_sibling(n);
-    if (m != kNoNode) emit(m);
-    return util::Status::OK();
-  }
-  if (name == "child") {
-    if (!inverted) {
-      for (NodeId c = t.first_child(n); c != kNoNode; c = t.next_sibling(c)) {
-        emit(c);
-      }
-    } else if (t.parent(n) != kNoNode) {
-      emit(t.parent(n));
-    }
-    return util::Status::OK();
-  }
-  if (name == "lastchild") {
-    if (!inverted) {
-      if (t.last_child(n) != kNoNode) emit(t.last_child(n));
-    } else if (t.IsLastSibling(n)) {
-      emit(t.parent(n));
-    }
-    return util::Status::OK();
-  }
-  int32_t k = core::ChildKIndex(name);
-  if (k >= 1) {
-    if (!inverted) {
-      NodeId c = t.ChildK(n, k);
-      if (c != kNoNode) emit(c);
-    } else {
-      // n must be exactly the k-th child.
-      NodeId c = n;
-      int32_t steps = 1;
-      while (steps < k && c != kNoNode) {
-        c = t.prev_sibling(c);
-        ++steps;
-      }
-      if (c != kNoNode && t.prev_sibling(c) == kNoNode &&
-          t.parent(n) != kNoNode && steps == k) {
-        emit(t.parent(n));
-      }
-    }
-    return util::Status::OK();
-  }
-  return UnknownRel(name);
+Resolved Resolve(const Tree& t, const std::string& name, bool test) {
+  std::optional<core::SchemaRef> ref =
+      core::ClassifySchemaPred(name, test ? 1 : 2);
+  if (!(test ? kTests : kRels).contains(ref)) return {};
+  Resolved r{true, ref->pred, ref->k, util::kInvalidSymbol};
+  if (ref->pred == core::SchemaPred::kLabel) r.label = t.FindLabel(ref->label);
+  return r;
 }
 
 }  // namespace
@@ -114,26 +63,36 @@ util::Result<std::vector<NodeId>> EvalImage(
   };
   for (NodeId src : sources) push(nfa.start, src);
 
+  // Each edge's name is classified once; an unknown one fails when reached.
+  std::vector<std::vector<Resolved>> resolved(num_states);
+  for (int64_t s = 0; s < num_states; ++s) {
+    for (const NfaEdge& edge : nfa.states[s]) {
+      resolved[s].push_back(edge.type == NfaEdge::Type::kEps
+                                ? Resolved{}
+                                : Resolve(t, edge.name,
+                                          edge.type == NfaEdge::Type::kTest));
+    }
+  }
+
   while (!worklist.empty()) {
     auto [state, node] = worklist.back();
     worklist.pop_back();
-    for (const NfaEdge& edge : nfa.states[state]) {
+    for (size_t i = 0; i < nfa.states[state].size(); ++i) {
+      const NfaEdge& edge = nfa.states[state][i];
+      const Resolved& r = resolved[state][i];
       switch (edge.type) {
         case NfaEdge::Type::kEps:
           push(edge.target, node);
           break;
-        case NfaEdge::Type::kTest: {
-          auto ok = CheckTest(t, edge.name, node);
-          if (!ok.ok()) return ok.status();
-          if (*ok) push(edge.target, node);
+        case NfaEdge::Type::kTest:
+          if (!r.known) return UnknownTest(edge.name);
+          if (core::Holds(t, r.pred, r.label, node)) push(edge.target, node);
           break;
-        }
-        case NfaEdge::Type::kRel: {
-          util::Status st = ApplyRel(t, edge.name, edge.inverted, node,
-                                     [&](NodeId m) { push(edge.target, m); });
-          if (!st.ok()) return st;
+        case NfaEdge::Type::kRel:
+          if (!r.known) return UnknownRel(edge.name);
+          core::ForEachSuccessor(t, {r.pred, r.k}, edge.inverted, node,
+                                 [&](NodeId m) { push(edge.target, m); });
           break;
-        }
       }
     }
   }
@@ -168,21 +127,21 @@ util::Result<PairSet> Denote(const Tree& t, const ExprPtr& e) {
       return out;
     }
     case Expr::Kind::kTest: {
+      const Resolved r = Resolve(t, e->name, /*test=*/true);
+      if (!r.known) return UnknownTest(e->name);
       PairSet out;
       for (NodeId n = 0; n < t.size(); ++n) {
-        MD_ASSIGN_OR_RETURN(bool ok, CheckTest(t, e->name, n));
-        if (ok) out.emplace(n, n);
+        if (core::Holds(t, r.pred, r.label, n)) out.emplace(n, n);
       }
       return out;
     }
     case Expr::Kind::kRel: {
-      if (!IsKnownRel(e->name)) return UnknownRel(e->name);
+      const Resolved r = Resolve(t, e->name, /*test=*/false);
+      if (!r.known) return UnknownRel(e->name);
       PairSet out;
       for (NodeId n = 0; n < t.size(); ++n) {
-        util::Status st =
-            ApplyRel(t, e->name, e->inverted, n,
-                     [&](NodeId m) { out.emplace(n, m); });
-        if (!st.ok()) return st;
+        core::ForEachSuccessor(t, {r.pred, r.k}, e->inverted, n,
+                               [&](NodeId m) { out.emplace(n, m); });
       }
       return out;
     }

@@ -2,6 +2,7 @@
 
 #include <cctype>
 
+#include "src/core/tree_schema.h"
 #include "src/util/check.h"
 
 namespace mdatalog::caterpillar {
@@ -280,17 +281,17 @@ ExprPtr ExpandDerivedRels(const ExprPtr& e) {
     case Expr::Kind::kTest:
       return e;
     case Expr::Kind::kRel: {
-      if (e->name == "child") {
+      ExprPtr expansion;
+      if (core::IsSchemaPred(e->name, 2, core::SchemaPred::kChild)) {
         // child = firstchild.nextsibling* (Example 2.5)
-        ExprPtr expansion = Concat({Rel("firstchild"), Star(Rel("nextsibling"))});
-        return e->inverted ? Inverse(expansion) : expansion;
+        expansion = Concat({Rel("firstchild"), Star(Rel("nextsibling"))});
+      } else if (core::IsSchemaPred(e->name, 2, core::SchemaPred::kLastChild)) {
+        expansion = Concat({Rel("firstchild"), Star(Rel("nextsibling")),
+                            Test("lastsibling")});
+      } else {
+        return e;
       }
-      if (e->name == "lastchild") {
-        ExprPtr expansion = Concat({Rel("firstchild"), Star(Rel("nextsibling")),
-                                    Test("lastsibling")});
-        return e->inverted ? Inverse(expansion) : expansion;
-      }
-      return e;
+      return e->inverted ? Inverse(expansion) : expansion;
     }
     default: {
       std::vector<ExprPtr> children;

@@ -1,7 +1,7 @@
 #include "src/caterpillar/to_datalog.h"
 
 #include "src/caterpillar/nfa.h"
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 
 namespace mdatalog::caterpillar {
 
@@ -51,11 +51,9 @@ util::Result<core::PredId> AppendCaterpillarRules(
           break;
         }
         case NfaEdge::Type::kRel: {
-          bool admissible =
-              options.ranked
-                  ? core::ChildKIndex(edge.name) >= 1
-                  : (edge.name == "firstchild" || edge.name == "nextsibling");
-          if (!admissible) {
+          const core::SchemaSet admissible =
+              options.ranked ? core::kRkBinary : core::kUrBinary;
+          if (!admissible.contains(core::ClassifySchemaPred(edge.name, 2))) {
             return util::Status::InvalidArgument(
                 "caterpillar-to-datalog supports only τ_ur relations after "
                 "expansion; got '" +

@@ -86,113 +86,39 @@ const Relation* ExplicitDatabase::Get(const std::string& name,
   return it == rels_.end() ? nullptr : &it->second;
 }
 
-std::string LabelPredName(const std::string& label) { return "label_" + label; }
-
-std::string LabelFromPredName(const std::string& name) {
-  if (name.rfind("label_", 0) == 0) return name.substr(6);
-  return "";
-}
-
-int32_t ChildKIndex(const std::string& name) {
-  if (name.rfind("child", 0) != 0 || name.size() <= 5) return -1;
-  int32_t k = 0;
-  for (size_t i = 5; i < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return -1;
-    k = k * 10 + (name[i] - '0');
-  }
-  return k >= 1 ? k : -1;
-}
-
-bool TreeDatabase::IsTreePredicate(const std::string& name, int32_t arity) {
-  if (arity == 1) {
-    return name == "root" || name == "leaf" || name == "lastsibling" ||
-           name == "firstsibling" || !LabelFromPredName(name).empty();
-  }
-  if (arity == 2) {
-    return name == "firstchild" || name == "nextsibling" || name == "child" ||
-           name == "lastchild" || name == "nextsibling_tc" ||
-           ChildKIndex(name) >= 1;
-  }
-  return false;
-}
-
 const Relation* TreeDatabase::Get(const std::string& name,
                                   int32_t arity) const {
-  if (!IsTreePredicate(name, arity)) return nullptr;
+  const std::optional<SchemaRef> ref = ClassifySchemaPred(name, arity);
+  if (!ref.has_value()) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
-  auto key = std::make_pair(name, arity);
-  auto it = cache_.find(key);
+  auto it = cache_.find(std::make_pair(name, arity));
   if (it != cache_.end()) return &it->second;
-  return Materialize(name, arity);
+  return Materialize(name, arity, *ref);
 }
 
 const Relation* TreeDatabase::Materialize(const std::string& name,
-                                          int32_t arity) const {
-  using tree::kNoNode;
-  using tree::NodeId;
+                                          int32_t arity,
+                                          const SchemaRef& ref) const {
   const tree::Tree& t = tree_;
-  // Span tags must be static strings; collapse the per-label / per-k
-  // predicate families onto one tag each.
   telemetry::TraceSpan span(telemetry::CurrentTrace(), "edb.materialize");
   if (span) {
-    span.Tag(name == "root"            ? "root"
-             : name == "leaf"          ? "leaf"
-             : name == "lastsibling"   ? "lastsibling"
-             : name == "firstsibling"  ? "firstsibling"
-             : name == "firstchild"    ? "firstchild"
-             : name == "nextsibling"   ? "nextsibling"
-             : name == "child"         ? "child"
-             : name == "lastchild"     ? "lastchild"
-             : name == "nextsibling_tc" ? "nextsibling_tc"
-             : ChildKIndex(name) >= 1  ? "child_k"
-                                       : "label");
+    span.Tag(SchemaPredTag(ref.pred));
     span.Value("nodes", t.size());
   }
   Relation rel(arity, t.size());
-
   if (arity == 1) {
-    const std::string label = LabelFromPredName(name);
-    if (name == "root" || name == "leaf" || name == "lastsibling" ||
-        name == "firstsibling") {
-      for (NodeId n = 0; n < t.size(); ++n) {
-        const bool in = name == "root"          ? t.IsRoot(n)
-                        : name == "leaf"        ? t.IsLeaf(n)
-                        : name == "lastsibling" ? t.IsLastSibling(n)
-                                                : t.IsFirstSibling(n);
-        if (in) rel.AddUnary(n);
-      }
-    } else if (tree::LabelId id = t.FindLabel(label);
-               id != util::kInvalidSymbol) {
-      // Compare interned ids, not strings: one int compare per node.
-      for (NodeId n = 0; n < t.size(); ++n) {
-        if (t.label(n) == id) rel.AddUnary(n);
-      }
+    // Compare interned ids, not strings: one int compare per node. A label
+    // not in the alphabet matches no node — empty relation (Remark 2.2).
+    const tree::LabelId label = ref.pred == SchemaPred::kLabel
+                                    ? t.FindLabel(ref.label)
+                                    : util::kInvalidSymbol;
+    for (tree::NodeId n = 0; n < t.size(); ++n) {
+      if (Holds(t, ref.pred, label, n)) rel.AddUnary(n);
     }
-    // else: label not in the alphabet — empty relation (Remark 2.2).
   } else {
-    int32_t k = ChildKIndex(name);
-    for (NodeId n = 0; n < t.size(); ++n) {
-      if (name == "firstchild") {
-        if (t.first_child(n) != kNoNode) rel.AddBinary(n, t.first_child(n));
-      } else if (name == "nextsibling") {
-        if (t.next_sibling(n) != kNoNode) rel.AddBinary(n, t.next_sibling(n));
-      } else if (name == "child") {
-        for (NodeId c = t.first_child(n); c != kNoNode; c = t.next_sibling(c)) {
-          rel.AddBinary(n, c);
-        }
-      } else if (name == "lastchild") {
-        if (t.last_child(n) != kNoNode) rel.AddBinary(n, t.last_child(n));
-      } else if (name == "nextsibling_tc") {
-        // Reflexive-transitive closure of nextsibling ([[E*]] is reflexive on
-        // the whole domain, Section 2).
-        rel.AddBinary(n, n);
-        for (NodeId s = t.next_sibling(n); s != kNoNode; s = t.next_sibling(s)) {
-          rel.AddBinary(n, s);
-        }
-      } else if (k >= 1) {
-        NodeId c = t.ChildK(n, k);
-        if (c != kNoNode) rel.AddBinary(n, c);
-      }
+    for (tree::NodeId n = 0; n < t.size(); ++n) {
+      ForEachSuccessor(t, {ref.pred, ref.k}, /*inverse=*/false, n,
+                       [&](tree::NodeId m) { rel.AddBinary(n, m); });
     }
   }
 

@@ -8,14 +8,14 @@
 #include <vector>
 
 #include "src/core/nodeset.h"
+#include "src/core/tree_schema.h"
 #include "src/tree/tree.h"
 #include "src/util/result.h"
 
 /// \file database.h
 /// Extensional databases: relation storage plus the two ways an EDB arises in
 /// this library — explicitly (arbitrary finite structures, Section 3.2) or as
-/// the relational view of a tree (the schemata τ_rk / τ_ur of Section 2, plus
-/// the Section 5/6 extensions child, lastchild, firstsibling, nextsibling*).
+/// the relational view of a tree (the schemata of tree_schema.h).
 
 namespace mdatalog::core {
 
@@ -133,14 +133,10 @@ class ExplicitDatabase : public EdbSource {
       rels_;
 };
 
-/// The relational view of a tree. Serves, lazily materialized:
-///
-///   τ_ur:   root/1, leaf/1, lastsibling/1, label_<l>/1,
-///           firstchild/2, nextsibling/2
-///   τ_rk:   child1/2 … child<K>/2 (child_k of Section 2)
-///   ext:    firstsibling/1, child/2, lastchild/2,
-///           nextsibling_tc/2 (the reflexive-transitive closure nextsibling*
-///           used by the TMNF chase, Lemma 5.5)
+/// The relational view of a tree: every predicate ClassifySchemaPred accepts
+/// (τ_ur, τ_rk and the extensions of tree_schema.h), lazily materialized by
+/// walking the per-node accessors of that module. Any other predicate has no
+/// extension (Get returns nullptr).
 ///
 /// label_<l> for a label l not occurring in the tree is the empty relation,
 /// consistent with the infinite-alphabet reading of Remark 2.2.
@@ -163,12 +159,10 @@ class TreeDatabase : public EdbSource {
 
   const tree::Tree& tree() const { return tree_; }
 
-  /// True iff `name`/`arity` is one of the tree-schema predicate names above.
-  static bool IsTreePredicate(const std::string& name, int32_t arity);
-
  private:
   /// Requires mu_ held.
-  const Relation* Materialize(const std::string& name, int32_t arity) const;
+  const Relation* Materialize(const std::string& name, int32_t arity,
+                              const SchemaRef& ref) const;
 
   const tree::Tree& tree_;
   mutable std::mutex mu_;
@@ -176,12 +170,5 @@ class TreeDatabase : public EdbSource {
                              RelKeyHash>
       cache_;
 };
-
-/// Name of the label predicate for label `l` ("label_" + l).
-std::string LabelPredName(const std::string& label);
-/// If `name` is a label predicate, returns the label; otherwise "".
-std::string LabelFromPredName(const std::string& name);
-/// If `name` is child<k> (k >= 1), returns k; otherwise -1.
-int32_t ChildKIndex(const std::string& name);
 
 }  // namespace mdatalog::core

@@ -5,93 +5,16 @@
 #include <utility>
 
 #include "src/core/database.h"
+#include "src/core/tree_schema.h"
 #include "src/core/validate.h"
 
 namespace mdatalog::core {
 
 namespace {
 
-/// Binary tree relations admissible for grounding: functional in both
-/// directions (Proposition 4.1).
-enum class TreeRel { kFirstChild, kNextSibling, kChildK };
-
-struct RelKind {
-  TreeRel rel;
-  int32_t k = 0;  // for kChildK
-};
-
-bool ClassifyBinary(const std::string& name, RelKind* out) {
-  if (name == "firstchild") {
-    *out = {TreeRel::kFirstChild, 0};
-    return true;
-  }
-  if (name == "nextsibling") {
-    *out = {TreeRel::kNextSibling, 0};
-    return true;
-  }
-  int32_t k = ChildKIndex(name);
-  if (k >= 1) {
-    *out = {TreeRel::kChildK, k};
-    return true;
-  }
-  return false;
-}
-
-/// y = f_R(x), or kNoNode.
-tree::NodeId ApplyForward(const tree::Tree& t, const RelKind& r,
-                          tree::NodeId x) {
-  switch (r.rel) {
-    case TreeRel::kFirstChild: return t.first_child(x);
-    case TreeRel::kNextSibling: return t.next_sibling(x);
-    case TreeRel::kChildK: return t.ChildK(x, r.k);
-  }
-  return tree::kNoNode;
-}
-
-/// x = f_R^{-1}(y), or kNoNode.
-tree::NodeId ApplyBackward(const tree::Tree& t, const RelKind& r,
-                           tree::NodeId y) {
-  switch (r.rel) {
-    case TreeRel::kFirstChild:
-      return (t.prev_sibling(y) == tree::kNoNode) ? t.parent(y) : tree::kNoNode;
-    case TreeRel::kNextSibling:
-      return t.prev_sibling(y);
-    case TreeRel::kChildK: {
-      // y must be exactly the k-th child of its parent.
-      tree::NodeId c = y;
-      for (int32_t steps = 1; steps < r.k; ++steps) {
-        c = t.prev_sibling(c);
-        if (c == tree::kNoNode) return tree::kNoNode;
-      }
-      if (t.prev_sibling(c) != tree::kNoNode) return tree::kNoNode;
-      return t.parent(y);
-    }
-  }
-  return tree::kNoNode;
-}
-
-/// Unary tree predicates, pre-classified at plan-compile time. Label ids are
-/// interned per tree, so the plan keeps the label *name* and each evaluation
-/// resolves it once against its tree's alphabet (GroundArena::unary_labels).
-enum class UnaryKind : uint8_t {
-  kRoot,
-  kLeaf,
-  kLastSibling,
-  kFirstSibling,
-  kLabel,
-};
-
-bool CheckUnaryTreePred(const tree::Tree& t, UnaryKind kind,
-                        tree::LabelId label, tree::NodeId n) {
-  switch (kind) {
-    case UnaryKind::kRoot: return t.IsRoot(n);
-    case UnaryKind::kLeaf: return t.IsLeaf(n);
-    case UnaryKind::kLastSibling: return t.IsLastSibling(n);
-    case UnaryKind::kFirstSibling: return t.IsFirstSibling(n);
-    case UnaryKind::kLabel: return t.label(n) == label;
-  }
-  return false;
-}
+/// The EDB a groundable body may read: the unary predicates and the binary
+/// relations functional in both directions (Proposition 4.1).
+constexpr SchemaSet kGroundable = kUnarySchema | kFunctionalAxes;
 
 }  // namespace
 
@@ -102,18 +25,8 @@ bool GroundableOverTree(const Program& program) {
   for (const Rule& r : program.rules()) {
     for (const Atom& a : r.body) {
       if (intensional[a.pred]) continue;
-      const std::string& name = program.preds().Name(a.pred);
-      int32_t arity = program.preds().Arity(a.pred);
-      if (arity == 0) return false;  // no nullary EDB in the tree schema
-      if (arity == 1) {
-        if (name != "root" && name != "leaf" && name != "lastsibling" &&
-            name != "firstsibling" && LabelFromPredName(name).empty()) {
-          return false;
-        }
-      } else if (arity == 2) {
-        RelKind kind;
-        if (!ClassifyBinary(name, &kind)) return false;
-      } else {
+      if (!kGroundable.contains(ClassifySchemaPred(
+              program.preds().Name(a.pred), program.preds().Arity(a.pred)))) {
         return false;
       }
     }
@@ -140,20 +53,17 @@ struct GroundPlan::Impl {
   int32_t num_nullary = 0;
   int32_t num_bridges = 0;
 
-  // Extensional classification (per EDB PredId of the given arity).
-  struct UnaryPlanSpec {
-    UnaryKind kind = UnaryKind::kRoot;
-    std::string label;  // for kLabel
-  };
-  std::vector<UnaryPlanSpec> unary_specs;
-  std::vector<RelKind> binary_specs;
+  // Extensional classification, per EDB PredId. Label ids are interned per
+  // tree, so the plan keeps the label *name* and each evaluation resolves it
+  // once against its tree's alphabet (GroundArena::unary_labels).
+  std::vector<SchemaRef> edb;
 
   /// One propagation step of a component schedule (spanning-tree assignment
   /// or consistency check, BFS order from the anchor).
   struct Step {
     bool assign;  // true: binding[to] = f(from); false: f(from) == binding[to]
     VarId from, to;
-    RelKind rel;
+    Axis rel;
     bool forward;
   };
 
@@ -207,7 +117,7 @@ GroundPlan::Impl::ComponentPlan CompileComponent(
 
   struct DirEdge {
     VarId from, to;
-    RelKind rel;
+    Axis rel;
     bool forward;
     int32_t atom;
   };
@@ -222,7 +132,7 @@ GroundPlan::Impl::ComponentPlan CompileComponent(
       MD_DCHECK(a->args[0].is_var());
       out.unary_checks.emplace_back(a->pred, a->args[0].value);
     } else if (a->args[0].is_var() && a->args[1].is_var()) {
-      const RelKind& kind = plan.binary_specs[a->pred];
+      const Axis kind{plan.edb[a->pred].pred, plan.edb[a->pred].k};
       VarId x = a->args[0].value, y = a->args[1].value;
       adj[x].push_back({x, y, kind, true, static_cast<int32_t>(ai)});
       adj[y].push_back({y, x, kind, false, static_cast<int32_t>(ai)});
@@ -269,8 +179,7 @@ util::Result<GroundPlan> GroundPlan::Compile(const Program& program) {
   impl->query_pred = program.query_pred();
   impl->intensional = program.IntensionalMask();
   impl->pred_arity.resize(preds.size());
-  impl->unary_specs.resize(preds.size());
-  impl->binary_specs.resize(preds.size());
+  impl->edb.resize(preds.size());
   impl->unary_index.assign(preds.size(), -1);
   impl->nullary_slot.assign(preds.size(), -1);
 
@@ -286,27 +195,9 @@ util::Result<GroundPlan> GroundPlan::Compile(const Program& program) {
     }
     // Extensional classification. Unclassifiable predicates never occur in a
     // body of a groundable program, so their specs are never read.
-    const std::string& name = preds.Name(p);
-    if (preds.Arity(p) == 1) {
-      Impl::UnaryPlanSpec& spec = impl->unary_specs[p];
-      if (name == "root") {
-        spec.kind = UnaryKind::kRoot;
-      } else if (name == "leaf") {
-        spec.kind = UnaryKind::kLeaf;
-      } else if (name == "lastsibling") {
-        spec.kind = UnaryKind::kLastSibling;
-      } else if (name == "firstsibling") {
-        spec.kind = UnaryKind::kFirstSibling;
-      } else {
-        std::string label = LabelFromPredName(name);
-        if (!label.empty()) {
-          spec.kind = UnaryKind::kLabel;
-          spec.label = std::move(label);
-        }
-      }
-    } else if (preds.Arity(p) == 2) {
-      ClassifyBinary(name, &impl->binary_specs[p]);
-    }
+    std::optional<SchemaRef> ref = ClassifySchemaPred(preds.Name(p),
+                                                      preds.Arity(p));
+    if (ref.has_value()) impl->edb[p] = std::move(*ref);
   }
 
   // Per-rule compilation (proof steps 1–2 of Theorem 4.2, program side).
@@ -389,8 +280,8 @@ class GroundedEvaluator {
     arena_.unary_labels.assign(plan_.num_preds, util::kInvalidSymbol);
     for (PredId p = 0; p < plan_.num_preds; ++p) {
       if (!plan_.intensional[p] && plan_.pred_arity[p] == 1 &&
-          plan_.unary_specs[p].kind == UnaryKind::kLabel) {
-        arena_.unary_labels[p] = tree_.FindLabel(plan_.unary_specs[p].label);
+          plan_.edb[p].pred == SchemaPred::kLabel) {
+        arena_.unary_labels[p] = tree_.FindLabel(plan_.edb[p].label);
       }
     }
 
@@ -514,8 +405,8 @@ class GroundedEvaluator {
       bool failed = false;
       for (const GroundPlan::Impl::Step& s : cp.steps) {
         const tree::NodeId target =
-            s.forward ? ApplyForward(tree_, s.rel, binding[s.from])
-                      : ApplyBackward(tree_, s.rel, binding[s.from]);
+            s.forward ? Forward(tree_, s.rel, binding[s.from])
+                      : Backward(tree_, s.rel, binding[s.from]);
         if (s.assign) {
           if (target == tree::kNoNode) {
             failed = true;
@@ -529,8 +420,8 @@ class GroundedEvaluator {
       }
       if (failed) continue;
       for (const auto& [p, v] : cp.unary_checks) {
-        if (!CheckUnaryTreePred(tree_, plan_.unary_specs[p].kind,
-                                arena_.unary_labels[p], binding[v])) {
+        if (!Holds(tree_, plan_.edb[p].pred, arena_.unary_labels[p],
+                   binding[v])) {
           failed = true;
           break;
         }
@@ -585,14 +476,15 @@ class GroundedEvaluator {
     if (a.args.size() == 1) {
       int32_t v = value_of(a.args[0]);
       if (v < 0 || v >= n_) return false;
-      return CheckUnaryTreePred(tree_, plan_.unary_specs[a.pred].kind,
-                                arena_.unary_labels[a.pred], v);
+      return Holds(tree_, plan_.edb[a.pred].pred, arena_.unary_labels[a.pred],
+                   v);
     }
     MD_CHECK(a.args.size() == 2);
     int32_t x = value_of(a.args[0]);
     int32_t y = value_of(a.args[1]);
     if (x < 0 || x >= n_ || y < 0 || y >= n_) return false;
-    return ApplyForward(tree_, plan_.binary_specs[a.pred], x) == y;
+    const SchemaRef& rel = plan_.edb[a.pred];
+    return Forward(tree_, {rel.pred, rel.k}, x) == y;
   }
 
   const GroundPlan::Impl& plan_;

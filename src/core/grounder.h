@@ -21,16 +21,17 @@
 ///     b ← p2(y).);
 ///  2. each connected rule is grounded: by Proposition 4.1 every binary
 ///     predicate of the tree schemata (firstchild, nextsibling, child_k) is
-///     functional in both directions, so fixing any one variable of a
-///     connected rule determines all others — each rule has only O(|dom|)
-///     ground instantiations, found by propagating along the rule's query
-///     graph from an anchor node;
+///     functional in both directions (Forward/Backward in tree_schema.h), so
+///     fixing any one variable of a connected rule determines all others —
+///     each rule has only O(|dom|) ground instantiations, found by
+///     propagating along the rule's query graph from an anchor node;
 ///  3. the resulting ground program is propositional Horn and is solved with
 ///     the linear-time LTUR solver (Proposition 3.5).
 ///
-/// Only the two-way-functional binary predicates are admitted; programs using
-/// child / lastchild / nextsibling_tc must first be normalized (TMNF pipeline,
-/// Theorem 5.2) or be evaluated with the semi-naive engine.
+/// Only the unary schema predicates and the two-way-functional binary ones
+/// (kFunctionalAxes) are admitted; programs using child / lastchild /
+/// nextsibling_tc must first be normalized (TMNF pipeline, Theorem 5.2) or be
+/// evaluated with the semi-naive engine.
 
 namespace mdatalog::core {
 

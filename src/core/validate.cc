@@ -4,7 +4,7 @@
 #include <functional>
 #include <set>
 
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 
 namespace mdatalog::core {
 
@@ -41,20 +41,21 @@ util::Status CheckMonadic(const Program& program) {
 }
 
 util::Status CheckTreeSignature(const Program& program, bool allow_extended) {
+  constexpr SchemaSet kExtendedBinary{
+      SchemaPred::kChild, SchemaPred::kLastChild, SchemaPred::kNextSiblingTc};
   std::vector<bool> intensional = program.IntensionalMask();
   for (const Rule& r : program.rules()) {
     for (const Atom& a : r.body) {
       if (intensional[a.pred]) continue;
       const std::string& name = program.preds().Name(a.pred);
       int32_t arity = program.preds().Arity(a.pred);
-      if (!TreeDatabase::IsTreePredicate(name, arity)) {
+      const std::optional<SchemaRef> ref = ClassifySchemaPred(name, arity);
+      if (!ref.has_value()) {
         return util::Status::InvalidArgument(
             "extensional predicate '" + name + "'/" + std::to_string(arity) +
             " is not a tree-schema predicate");
       }
-      if (!allow_extended &&
-          (name == "child" || name == "lastchild" ||
-           name == "nextsibling_tc")) {
+      if (!allow_extended && kExtendedBinary.contains(ref->pred)) {
         return util::Status::InvalidArgument(
             "extensional predicate '" + name +
             "' requires the extended signature");
@@ -137,9 +138,8 @@ void PruneUnderivableRules(Program* program) {
       bool fireable = true;
       for (const Atom& a : r.body) {
         if (has_rule[a.pred]) continue;
-        if (TreeDatabase::IsTreePredicate(
-                program->preds().Name(a.pred),
-                static_cast<int32_t>(a.args.size()))) {
+        if (ClassifySchemaPred(program->preds().Name(a.pred),
+                               static_cast<int32_t>(a.args.size()))) {
           continue;
         }
         fireable = false;

@@ -2,7 +2,7 @@
 
 #include <set>
 
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 #include "src/tmnf/normal_form.h"
 #include "src/tmnf/pipeline.h"
 #include "src/util/check.h"
@@ -15,12 +15,15 @@ using core::Atom;
 using core::PredId;
 using core::Rule;
 
-/// Kinds of unary predicates a TMNF body can mention.
-enum class UnaryKind { kPattern, kRoot, kLeaf, kLastSibling, kLabel };
-
+/// A unary predicate a TMNF body mentions: an intensional pattern, or one of
+/// the unary schema predicates CheckTmnf admits (root, leaf, lastsibling,
+/// label_<l>).
 struct UnaryInfo {
-  UnaryKind kind;
-  std::string name;  ///< pattern name or label
+  std::string pattern;  ///< the pattern name; empty for a schema predicate
+  core::SchemaRef schema;
+  bool Is(core::SchemaPred p) const {
+    return pattern.empty() && schema.pred == p;
+  }
 };
 
 class ElogTranslator {
@@ -48,13 +51,10 @@ class ElogTranslator {
 
   UnaryInfo ClassifyUnary(PredId pred) const {
     const std::string& name = tmnf_.preds().Name(pred);
-    if (intensional_[pred]) return {UnaryKind::kPattern, name};
-    if (name == "root") return {UnaryKind::kRoot, name};
-    if (name == "leaf") return {UnaryKind::kLeaf, name};
-    if (name == "lastsibling") return {UnaryKind::kLastSibling, name};
-    std::string label = core::LabelFromPredName(name);
-    MD_CHECK(!label.empty());
-    return {UnaryKind::kLabel, label};
+    if (intensional_[pred]) return {name, {}};
+    std::optional<core::SchemaRef> ref = core::ClassifySchemaPred(name, 1);
+    MD_CHECK(core::kTmnfUnary.contains(ref));
+    return {"", std::move(*ref)};
   }
 
   void EmitDomPattern() {
@@ -119,27 +119,27 @@ class ElogTranslator {
   /// Condition (or pattern reference) testing `info` on variable `var`.
   ElogCondition UnaryConditionOn(const UnaryInfo& info,
                                  const std::string& var) {
-    switch (info.kind) {
-      case UnaryKind::kPattern:
-        return PatternRef(info.name, var);
-      case UnaryKind::kLabel:
-        used_labels_.insert(info.name);
-        return PatternRef(LabelPattern(info.name), var);
-      case UnaryKind::kRoot:
+    if (!info.pattern.empty()) return PatternRef(info.pattern, var);
+    switch (info.schema.pred) {
+      case core::SchemaPred::kLabel:
+        used_labels_.insert(info.schema.label);
+        return PatternRef(LabelPattern(info.schema.label), var);
+      case core::SchemaPred::kRoot:
         used_root_pattern_ = true;
         return PatternRef(RootPattern(), var);
-      case UnaryKind::kLeaf: {
+      case core::SchemaPred::kLeaf: {
         ElogCondition c;
         c.kind = ElogCondition::Kind::kLeaf;
         c.var1 = var;
         return c;
       }
-      case UnaryKind::kLastSibling: {
+      case core::SchemaPred::kLastSibling: {
         ElogCondition c;
         c.kind = ElogCondition::Kind::kLastSibling;
         c.var1 = var;
         return c;
       }
+      default: break;
     }
     MD_CHECK(false);
     return {};
@@ -150,18 +150,18 @@ class ElogTranslator {
     if (rule.body.size() == 1) {
       // Form (1): p(x) ← p0(x).
       UnaryInfo info = ClassifyUnary(rule.body[0].pred);
-      if (info.kind == UnaryKind::kRoot) {
+      if (info.Is(core::SchemaPred::kRoot)) {
         ElogRule r;
         r.head_pattern = head;
         r.head_var = "X";
         r.parent_pattern = "root";
         r.parent_var = "X";
         out_.AddRule(r);
-      } else if (info.kind == UnaryKind::kPattern) {
+      } else if (!info.pattern.empty()) {
         ElogRule r;  // specialization with p0 as the parent pattern
         r.head_pattern = head;
         r.head_var = "X";
-        r.parent_pattern = info.name;
+        r.parent_pattern = info.pattern;
         r.parent_var = "X";
         out_.AddRule(r);
       } else {
@@ -179,7 +179,7 @@ class ElogTranslator {
       bool root_test = false;
       for (const Atom* atom : {&a, &b}) {
         UnaryInfo info = ClassifyUnary(atom->pred);
-        if (info.kind == UnaryKind::kRoot) {
+        if (info.Is(core::SchemaPred::kRoot)) {
           root_test = true;
           continue;
         }
@@ -204,10 +204,12 @@ class ElogTranslator {
     const Atom& binary = a.args.size() == 2 ? a : b;
     core::VarId head_v = rule.head.args[0].value;
     bool forward = binary.args[1].value == head_v;  // B = R
-    const std::string& rel = tmnf_.preds().Name(binary.pred);
+    const std::optional<core::SchemaRef> rel =
+        core::ClassifySchemaPred(tmnf_.preds().Name(binary.pred), 2);
+    MD_CHECK(core::kUrBinary.contains(rel));
     UnaryInfo p0 = ClassifyUnary(unary.pred);
 
-    if (rel == "nextsibling") {
+    if (rel->pred == core::SchemaPred::kNextSibling) {
       // p(x) ← dom(x), nextsibling(x0, x) [or mirrored], p0(x0).
       ElogCondition ns;
       ns.kind = ElogCondition::Kind::kNextSibling;
@@ -221,7 +223,6 @@ class ElogTranslator {
       DomRule(head, {std::move(ns), UnaryConditionOn(p0, "X0")});
       return util::Status::OK();
     }
-    MD_CHECK(rel == "firstchild");
     if (forward) {
       // p(X) ← p0'(X0), subelem__(X0, X), firstsibling(X) — the proof's
       // upward-compatible form with p0 referenced at the parent.

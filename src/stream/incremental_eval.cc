@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/core/tree_schema.h"
 #include "src/util/check.h"
 
 namespace mdatalog::stream {
@@ -28,7 +29,6 @@ std::unique_ptr<IncrementalTmnfEval> IncrementalTmnfEval::Compile(
   eval->hooked_.assign(eval->num_preds_, false);
 
   const std::vector<bool> intensional = tmnf.IntensionalMask();
-  const core::PredId tc_pred = preds.Find("nextsibling_tc");
 
   auto rel_index = [&](core::PredId b) {
     if (eval->pred_to_rel_[b] < 0) {
@@ -78,10 +78,12 @@ std::unique_ptr<IncrementalTmnfEval> IncrementalTmnfEval::Compile(
       const core::VarId uv = un.args[0].value;
       if (uv == hv) return nullptr;  // diagonal B(x,x): not a TMNF shape
       cr.p0 = un.pred;
+      const bool tc = core::IsSchemaPred(preds.Name(bin.pred), 2,
+                                         core::SchemaPred::kNextSiblingTc);
       if (bin.args[0].value == uv && bin.args[1].value == hv) {
-        cr.kind = bin.pred == tc_pred ? RuleKind::kTcFwd : RuleKind::kJoinFwd;
+        cr.kind = tc ? RuleKind::kTcFwd : RuleKind::kJoinFwd;
       } else if (bin.args[0].value == hv && bin.args[1].value == uv) {
-        cr.kind = bin.pred == tc_pred ? RuleKind::kTcBwd : RuleKind::kJoinBwd;
+        cr.kind = tc ? RuleKind::kTcBwd : RuleKind::kJoinBwd;
       } else {
         return nullptr;
       }

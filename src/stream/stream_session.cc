@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 #include "src/elog/eval.h"
 #include "src/html/parser.h"
 #include "src/tree/serialize.h"
@@ -11,15 +11,9 @@
 
 namespace mdatalog::stream {
 
-namespace {
+using core::SchemaPred;
 
-core::PredId EdbPred(const core::PredicateTable& preds,
-                     const std::vector<bool>& intensional,
-                     std::string_view name, int32_t arity) {
-  const core::PredId p = preds.Find(name);
-  if (p < 0 || preds.Arity(p) != arity || intensional[p]) return -1;
-  return p;
-}
+namespace {
 
 uint64_t DerivedKey(core::PredId pred, tree::NodeId node) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(pred)) << 32) |
@@ -62,23 +56,22 @@ StreamSession::StreamSession(
 
     const core::PredicateTable& preds = program_->tmnf.preds();
     const std::vector<bool> intensional = program_->tmnf.IntensionalMask();
-    root_pred_ = EdbPred(preds, intensional, "root", 1);
-    leaf_pred_ = EdbPred(preds, intensional, "leaf", 1);
-    lastsibling_pred_ = EdbPred(preds, intensional, "lastsibling", 1);
-    firstsibling_pred_ = EdbPred(preds, intensional, "firstsibling", 1);
-    firstchild_pred_ = EdbPred(preds, intensional, "firstchild", 2);
-    nextsibling_pred_ = EdbPred(preds, intensional, "nextsibling", 2);
-    child_pred_ = EdbPred(preds, intensional, "child", 2);
-    lastchild_pred_ = EdbPred(preds, intensional, "lastchild", 2);
+    edb_preds_.fill(-1);
     for (core::PredId p = 0; p < preds.size(); ++p) {
       if (intensional[p]) continue;
-      const std::string& name = preds.Name(p);
-      if (preds.Arity(p) == 1) {
-        const std::string label = core::LabelFromPredName(name);
-        if (!label.empty()) label_preds_.emplace(label, p);
-      } else if (preds.Arity(p) == 2) {
-        const int32_t k = core::ChildKIndex(name);
-        if (k >= 1) childk_preds_.emplace(k, p);
+      std::optional<core::SchemaRef> ref =
+          core::ClassifySchemaPred(preds.Name(p), preds.Arity(p));
+      if (!ref.has_value()) continue;
+      switch (ref->pred) {
+        case SchemaPred::kLabel:
+          label_preds_.emplace(std::move(ref->label), p);
+          break;
+        case SchemaPred::kChildK:
+          childk_preds_.emplace_back(ref->k, p);
+          break;
+        default:
+          edb_preds_[static_cast<int>(ref->pred)] = p;
+          break;
       }
     }
     const auto& patterns = program_->prepared.extraction_patterns;
@@ -112,7 +105,7 @@ StreamSession::StreamSession(
   if (incremental_) {
     eval_stripped_->AddNode(0, -1);
     eval_kept_->AddNode(0, -1);
-    AssertUnary(eval_kept_.get(), root_pred_, 0);
+    AssertUnary(eval_kept_.get(), SchemaPred::kRoot, 0);
     AssertLabel(eval_kept_.get(), "#document", 0);
   }
 }
@@ -245,15 +238,15 @@ void StreamSession::NodeCreated(tree::NodeId n, tree::NodeId parent,
       // The first top-level node IS the root of the stripped tree (internal
       // ids run one above the batch EDB's). No sibling/parent facts: the
       // external root has none in TreeDatabase::Materialize.
-      AssertUnary(eval_stripped_.get(), root_pred_, n);
+      AssertUnary(eval_stripped_.get(), SchemaPred::kRoot, n);
     } else {
       if (prev == tree::kNoNode) {
-        AssertBinary(eval_stripped_.get(), firstchild_pred_, parent, n);
-        AssertUnary(eval_stripped_.get(), firstsibling_pred_, n);
+        AssertBinary(eval_stripped_.get(), SchemaPred::kFirstChild, parent, n);
+        AssertUnary(eval_stripped_.get(), SchemaPred::kFirstSibling, n);
       } else {
-        AssertBinary(eval_stripped_.get(), nextsibling_pred_, prev, n);
+        AssertBinary(eval_stripped_.get(), SchemaPred::kNextSibling, prev, n);
       }
-      AssertBinary(eval_stripped_.get(), child_pred_, parent, n);
+      AssertBinary(eval_stripped_.get(), SchemaPred::kChild, parent, n);
       AssertChildK(eval_stripped_.get(), k, parent, n);
     }
   }
@@ -263,12 +256,12 @@ void StreamSession::NodeCreated(tree::NodeId n, tree::NodeId parent,
     eval_kept_->AddNode(n, prev);
     AssertLabel(eval_kept_.get(), label, n);
     if (prev == tree::kNoNode) {
-      AssertBinary(eval_kept_.get(), firstchild_pred_, parent, n);
-      AssertUnary(eval_kept_.get(), firstsibling_pred_, n);
+      AssertBinary(eval_kept_.get(), SchemaPred::kFirstChild, parent, n);
+      AssertUnary(eval_kept_.get(), SchemaPred::kFirstSibling, n);
     } else {
-      AssertBinary(eval_kept_.get(), nextsibling_pred_, prev, n);
+      AssertBinary(eval_kept_.get(), SchemaPred::kNextSibling, prev, n);
     }
-    AssertBinary(eval_kept_.get(), child_pred_, parent, n);
+    AssertBinary(eval_kept_.get(), SchemaPred::kChild, parent, n);
     AssertChildK(eval_kept_.get(), k, parent, n);
   }
 }
@@ -281,10 +274,10 @@ void StreamSession::NodeClosed(tree::NodeId n) {
   for (IncrementalTmnfEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
     if (ev == nullptr) continue;
     if (lc == tree::kNoNode) {
-      AssertUnary(ev, leaf_pred_, n);
+      AssertUnary(ev, SchemaPred::kLeaf, n);
     } else {
-      AssertUnary(ev, lastsibling_pred_, lc);
-      AssertBinary(ev, lastchild_pred_, n, lc);
+      AssertUnary(ev, SchemaPred::kLastSibling, lc);
+      AssertBinary(ev, SchemaPred::kLastChild, n, lc);
     }
   }
   // Anything already derived for this node was held back by the closed_
@@ -343,9 +336,8 @@ void StreamSession::AssertLabel(IncrementalTmnfEval* ev,
 
 void StreamSession::AssertChildK(IncrementalTmnfEval* ev, int32_t k,
                                  tree::NodeId parent, tree::NodeId child) {
-  const auto it = childk_preds_.find(k);
-  if (it != childk_preds_.end()) {
-    ev->AddBinaryFact(it->second, parent, child);
+  for (const auto& [childk, pred] : childk_preds_) {
+    if (childk == k) ev->AddBinaryFact(pred, parent, child);
   }
 }
 
@@ -396,8 +388,8 @@ util::Result<std::string> StreamSession::FinishImpl() {
     } else {
       winner = eval_kept_.get();
       const tree::NodeId lc = tree_.builder().last_child(0);
-      AssertUnary(winner, lastsibling_pred_, lc);
-      AssertBinary(winner, lastchild_pred_, 0, lc);
+      AssertUnary(winner, SchemaPred::kLastSibling, lc);
+      AssertBinary(winner, SchemaPred::kLastChild, 0, lc);
     }
     closed_[0] = true;  // patterns may select the kept "#document" root
     {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -8,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/tree_schema.h"
 #include "src/html/parser.h"
 #include "src/html/tokenizer.h"
 #include "src/runtime/runtime.h"
@@ -156,12 +158,14 @@ class StreamSession : private html::TreeConstructor::Observer {
   const util::EvalControl* control() const {
     return control_.unbounded() ? nullptr : &control_;
   }
-  static void AssertUnary(IncrementalTmnfEval* ev, core::PredId pred,
-                          tree::NodeId n) {
+  void AssertUnary(IncrementalTmnfEval* ev, core::SchemaPred kind,
+                   tree::NodeId n) const {
+    const core::PredId pred = edb_preds_[static_cast<int>(kind)];
     if (pred >= 0) ev->AddUnaryFact(pred, n);
   }
-  static void AssertBinary(IncrementalTmnfEval* ev, core::PredId pred,
-                           tree::NodeId a, tree::NodeId b) {
+  void AssertBinary(IncrementalTmnfEval* ev, core::SchemaPred kind,
+                    tree::NodeId a, tree::NodeId b) const {
+    const core::PredId pred = edb_preds_[static_cast<int>(kind)];
     if (pred >= 0) ev->AddBinaryFact(pred, a, b);
   }
   void AssertLabel(IncrementalTmnfEval* ev, const std::string& label,
@@ -183,13 +187,11 @@ class StreamSession : private html::TreeConstructor::Observer {
   std::unique_ptr<IncrementalTmnfEval> eval_stripped_;
   std::unique_ptr<IncrementalTmnfEval> eval_kept_;
   bool incremental_ = false;
-  // EDB predicate ids in program_->tmnf (-1 = the program never reads it).
-  core::PredId root_pred_ = -1, leaf_pred_ = -1;
-  core::PredId lastsibling_pred_ = -1, firstsibling_pred_ = -1;
-  core::PredId firstchild_pred_ = -1, nextsibling_pred_ = -1;
-  core::PredId child_pred_ = -1, lastchild_pred_ = -1;
+  // EDB predicate ids in program_->tmnf, classified once by schema kind
+  // (-1 = the program never reads it); label_<l> by label, child<k> by k.
+  std::array<core::PredId, core::kNumSchemaPreds> edb_preds_;
   std::unordered_map<std::string, core::PredId> label_preds_;
-  std::unordered_map<int32_t, core::PredId> childk_preds_;
+  std::vector<std::pair<int32_t, core::PredId>> childk_preds_;
   /// pattern pred → indices into prepared.extraction_patterns.
   std::unordered_map<core::PredId, std::vector<int32_t>> pred_patterns_;
   std::vector<core::PredId> pattern_pred_list_;

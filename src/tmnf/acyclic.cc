@@ -4,7 +4,7 @@
 #include <map>
 #include <set>
 
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 #include "src/util/check.h"
 
 namespace mdatalog::tmnf {
@@ -409,13 +409,15 @@ util::Result<ChaseResult> MakeRuleAcyclicRanked(core::Program* program,
       return util::Status::Unimplemented(
           "ranked chase supports unary and binary atoms only");
     }
-    int32_t k = core::ChildKIndex(program->preds().Name(a.pred));
-    if (k < 1) {
+    const std::optional<core::SchemaRef> ref =
+        core::ClassifySchemaPred(program->preds().Name(a.pred), 2);
+    if (!core::kRkBinary.contains(ref)) {
       return util::Status::InvalidArgument(
           "ranked chase admits child<k> relations only; got '" +
           program->preds().Name(a.pred) + "'");
     }
-    child_atoms.push_back({{a.pred, a.args[0].value, a.args[1].value}, k});
+    child_atoms.push_back(
+        {{a.pred, a.args[0].value, a.args[1].value}, ref->k});
   }
 
   int32_t nv = rule.num_vars();

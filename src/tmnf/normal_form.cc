@@ -1,22 +1,10 @@
 #include "src/tmnf/normal_form.h"
 
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 
 namespace mdatalog::tmnf {
 
 namespace {
-
-bool IsSchemaBinary(const std::string& name, bool ranked) {
-  if (ranked) return core::ChildKIndex(name) >= 1;
-  return name == "firstchild" || name == "nextsibling";
-}
-
-/// Unary predicates admissible in TMNF bodies: intensional or τ_ur/τ_rk
-/// unary (root, leaf, lastsibling, label_<l>).
-bool IsSchemaUnary(const std::string& name) {
-  return name == "root" || name == "leaf" || name == "lastsibling" ||
-         !core::LabelFromPredName(name).empty();
-}
 
 util::Status Offend(const core::Program& p, const core::Rule& r,
                     const std::string& why) {
@@ -31,8 +19,11 @@ util::Status CheckTmnf(const core::Program& program,
   std::vector<bool> intensional = program.IntensionalMask();
   auto unary_ok = [&](const core::Atom& a) {
     if (a.args.size() != 1 || !a.args[0].is_var()) return false;
+    // Unary predicates admissible in TMNF bodies: intensional or τ_ur/τ_rk
+    // unary.
     if (intensional[a.pred]) return true;
-    return IsSchemaUnary(program.preds().Name(a.pred));
+    return core::kTmnfUnary.contains(
+        core::ClassifySchemaPred(program.preds().Name(a.pred), 1));
   };
 
   for (const core::Rule& r : program.rules()) {
@@ -74,8 +65,11 @@ util::Status CheckTmnf(const core::Program& program,
     if (!unary_ok(*unary)) {
       return Offend(program, r, "form (2) unary predicate not admissible");
     }
+    const core::SchemaSet schema_binary =
+        options.ranked ? core::kRkBinary : core::kUrBinary;
     if (intensional[binary->pred] ||
-        !IsSchemaBinary(program.preds().Name(binary->pred), options.ranked)) {
+        !schema_binary.contains(
+            core::ClassifySchemaPred(program.preds().Name(binary->pred), 2))) {
       return Offend(program, r, "form (2) binary predicate not in the schema");
     }
     if (!binary->args[0].is_var() || !binary->args[1].is_var()) {

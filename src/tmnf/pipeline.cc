@@ -4,7 +4,7 @@
 #include <set>
 
 #include "src/caterpillar/to_datalog.h"
-#include "src/core/database.h"
+#include "src/core/tree_schema.h"
 #include "src/core/validate.h"
 #include "src/tmnf/acyclic.h"
 #include "src/tmnf/normal_form.h"
@@ -20,8 +20,15 @@ using core::MakeRule;
 using core::PredId;
 using core::Program;
 using core::Rule;
+using core::SchemaPred;
 using core::Term;
 using core::VarId;
+
+/// The EDB signatures the two pipelines accept (pipeline.h).
+constexpr core::SchemaSet kRankedInput = core::kTmnfUnary | core::kRkBinary;
+constexpr core::SchemaSet kUnrankedInput =
+    core::kUnarySchema | core::kUrBinary |
+    core::SchemaSet{SchemaPred::kChild, SchemaPred::kLastChild};
 
 /// Shared machinery for the ranked and unranked pipelines.
 class TmnfPipeline {
@@ -36,8 +43,11 @@ class TmnfPipeline {
     }
     if (ranked_) {
       for (PredId p = 0; p < out_.preds().size(); ++p) {
-        max_child_k_ =
-            std::max(max_child_k_, core::ChildKIndex(out_.preds().Name(p)));
+        const std::optional<core::SchemaRef> ref = core::ClassifySchemaPred(
+            out_.preds().Name(p), out_.preds().Arity(p));
+        if (ref.has_value() && ref->pred == SchemaPred::kChildK) {
+          max_child_k_ = std::max(max_child_k_, ref->k);
+        }
       }
     }
 
@@ -114,17 +124,8 @@ class TmnfPipeline {
         }
         const std::string& name = out_.preds().Name(a.pred);
         int32_t arity = static_cast<int32_t>(a.args.size());
-        bool ok;
-        if (ranked_) {
-          ok = (arity == 2 && core::ChildKIndex(name) >= 1) ||
-               (arity == 1 &&
-                (name == "root" || name == "leaf" || name == "lastsibling" ||
-                 !core::LabelFromPredName(name).empty()));
-        } else {
-          ok = core::TreeDatabase::IsTreePredicate(name, arity) &&
-               name != "nextsibling_tc" && core::ChildKIndex(name) < 1;
-        }
-        if (!ok) {
+        if (!(ranked_ ? kRankedInput : kUnrankedInput)
+                 .contains(core::ClassifySchemaPred(name, arity))) {
           return util::Status::InvalidArgument(
               "predicate '" + name + "'/" + std::to_string(arity) +
               " is outside the TMNF input signature");
@@ -140,14 +141,14 @@ class TmnfPipeline {
     MD_ASSIGN_OR_RETURN(PredId child, out_.preds().Intern("child", 2));
     MD_ASSIGN_OR_RETURN(PredId lastsibling,
                         out_.preds().Intern("lastsibling", 1));
-    PredId lastchild = out_.preds().Find("lastchild");
-    PredId firstsibling = out_.preds().Find("firstsibling");
     std::vector<Atom> body;
     for (Atom& a : rule->body) {
-      if (lastchild >= 0 && a.pred == lastchild) {
+      const std::string& name = out_.preds().Name(a.pred);
+      const int32_t arity = static_cast<int32_t>(a.args.size());
+      if (core::IsSchemaPred(name, arity, SchemaPred::kLastChild)) {
         body.push_back(MakeAtom(child, {a.args[0], a.args[1]}));
         body.push_back(MakeAtom(lastsibling, {a.args[1]}));
-      } else if (firstsibling >= 0 && a.pred == firstsibling) {
+      } else if (core::IsSchemaPred(name, arity, SchemaPred::kFirstSibling)) {
         used_fsib_ = true;
         body.push_back(MakeAtom(FsibPred(), {a.args[0]}));
       } else {
@@ -246,13 +247,9 @@ class TmnfPipeline {
     auto is_idb_like = [&](PredId p) {
       const std::string& name = out_.preds().Name(p);
       if (name.rfind("__", 0) == 0) return true;
-      if (ranked_) {
-        return core::ChildKIndex(name) < 1 && name != "root" &&
-               name != "leaf" && name != "lastsibling" &&
-               core::LabelFromPredName(name).empty();
-      }
-      return !core::TreeDatabase::IsTreePredicate(
-          name, out_.preds().Arity(p));
+      const std::optional<core::SchemaRef> ref =
+          core::ClassifySchemaPred(name, out_.preds().Arity(p));
+      return ranked_ ? !kRankedInput.contains(ref) : !ref.has_value();
     };
     bool changed = true;
     while (changed) {
@@ -280,7 +277,8 @@ class TmnfPipeline {
 
   bool IsCaterpillarAtom(const Atom& a) const {
     const std::string& name = out_.preds().Name(a.pred);
-    return name == "nextsibling_tc" || name == "__any";
+    return name == "__any" ||
+           core::IsSchemaPred(name, 2, SchemaPred::kNextSiblingTc);
   }
 
   /// Step 4 (Lemmas 5.7/5.8/5.9): decomposes one acyclic connected rule into

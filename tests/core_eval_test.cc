@@ -7,6 +7,7 @@
 #include "src/core/horn.h"
 #include "src/core/parser.h"
 #include "src/core/program_generator.h"
+#include "src/core/validate.h"
 #include "src/tree/generator.h"
 #include "src/util/rng.h"
 
@@ -409,6 +410,36 @@ TEST(GroundedTest, ChildKBackwardRequiresExactPosition) {
   ASSERT_TRUE(r.ok());
   // e (id 4) is the 2nd child of c (id 2).
   EXPECT_EQ(r->Query(), (std::vector<int32_t>{2}));
+}
+
+TEST(GroundedTest, OutOfRangeChildIndexIsAnUnknownPredicate) {
+  // 4294967297 = 2^32 + 1 wrapped to child1 in 32-bit arithmetic, and
+  // 99999999999 overflowed int32_t outright. An index above INT32_MAX names
+  // no schema relation: it is an unknown EDB predicate like any other.
+  const Tree t = SmallTree();
+  const TreeDatabase db(t);
+  auto unknown = ParseProgramWithQuery("q(Y) :- root(X), edge(X, Y).", "q");
+  ASSERT_TRUE(unknown.ok());
+  for (const std::string name : {"child4294967297", "child99999999999"}) {
+    SCOPED_TRACE(name);
+    auto p = ParseProgramWithQuery("q(Y) :- root(X), " + name + "(X, Y).",
+                                   "q");
+    ASSERT_TRUE(p.ok());
+    EXPECT_EQ(db.Get(name, 2), nullptr);
+    EXPECT_EQ(GroundableOverTree(*p), GroundableOverTree(*unknown));
+    EXPECT_FALSE(GroundableOverTree(*p));
+    EXPECT_EQ(CheckTreeSignature(*p, /*allow_extended=*/true).code(),
+              CheckTreeSignature(*unknown, true).code());
+    auto r = EvaluateOnTree(*p, t);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r->Query().empty());
+  }
+  // The largest index still is one.
+  auto p = ParseProgramWithQuery("q(Y) :- root(X), child2147483647(X, Y).",
+                                 "q");
+  ASSERT_TRUE(p.ok());
+  EXPECT_TRUE(GroundableOverTree(*p));
+  EXPECT_NE(db.Get("child2147483647", 2), nullptr);
 }
 
 TEST(GroundedTest, StatsAreLinear) {

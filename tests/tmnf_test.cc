@@ -374,5 +374,20 @@ TEST(TmnfPipelineRankedTest, RoundTripOnBoundedArityTrees) {
   }
 }
 
+TEST(TmnfPipelineRankedTest, OutOfRangeChildIndexIsOutsideTheSignature) {
+  // child4294967297 once wrapped to child1. An index above INT32_MAX is an
+  // unknown EDB predicate, rejected exactly like edge/2.
+  auto unknown = ToTmnfRanked(MustParse("q(X) :- edge(X, Y), leaf(Y)."));
+  ASSERT_FALSE(unknown.ok());
+  auto wrapped =
+      ToTmnfRanked(MustParse("q(X) :- child4294967297(X, Y), leaf(Y)."));
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_EQ(wrapped.status().code(), unknown.status().code());
+  EXPECT_FALSE(
+      IsTmnf(MustParse("q(X) :- q0(Y), child4294967297(Y, X). q0(X) :- "
+                       "root(X)."),
+             {.ranked = true}));
+}
+
 }  // namespace
 }  // namespace mdatalog::tmnf
