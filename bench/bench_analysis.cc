@@ -105,7 +105,6 @@ BENCHMARK(BM_EquivalentCatalogPair)->Arg(2)->Arg(3);
 /// a wrapper redeployment produces. Canonical keys collapse it to one
 /// compiled plan + one memo row per distinct page.
 void BM_ServeRevisions(benchmark::State& state) {
-  const bool canonical = state.range(0) != 0;
   std::vector<wrapper::Wrapper> revisions = {
       LoadCorpusWrapper("catalog_clean.elog"),
       LoadCorpusWrapper("catalog_redundant.elog"),
@@ -123,9 +122,7 @@ void BM_ServeRevisions(benchmark::State& state) {
   int64_t served = 0;
   int64_t memo_hits = 0, memo_misses = 0, canonical_hits = 0;
   for (auto _ : state) {
-    runtime::RuntimeOptions opts;
-    opts.canonical_program_keys = canonical;
-    runtime::WrapperRuntime rt(opts);
+    runtime::WrapperRuntime rt;
     for (const wrapper::Wrapper& rev : revisions) {
       auto handle = rt.Register(rev, "class");
       MD_CHECK(handle.ok());
@@ -151,7 +148,7 @@ void BM_ServeRevisions(benchmark::State& state) {
       static_cast<double>(canonical_hits) /
       static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_ServeRevisions)->Arg(0)->Arg(1);
+BENCHMARK(BM_ServeRevisions);
 
 }  // namespace
 

@@ -356,7 +356,7 @@ class FixpointEngine {
     return out;
   }
 
-  const Relation* BinaryRel(const PlanStep& s) const {
+  const Relation* StepRelation(const PlanStep& s) const {
     if (!s.idb) return s.edb;
     const auto& store = s.delta ? delta_binary_ : binary_;
     return store[s.pred].has_value() ? &*store[s.pred] : nullptr;
@@ -429,7 +429,7 @@ class FixpointEngine {
         return;
       }
       case PlanStep::Kind::kBinaryCheck: {
-        const Relation* rel = BinaryRel(s);
+        const Relation* rel = StepRelation(s);
         if (rel != nullptr &&
             rel->ContainsBinary(Val(s.a0, binding), Val(s.a1, binding))) {
           Exec(plan, depth + 1, binding, emit);
@@ -453,7 +453,7 @@ class FixpointEngine {
         return;
       }
       case PlanStep::Kind::kBinaryScanForward: {
-        const Relation* rel = BinaryRel(s);
+        const Relation* rel = StepRelation(s);
         if (rel == nullptr) return;
         const int32_t var = s.a1.v;
         for (int32_t m : rel->Forward(Val(s.a0, binding))) {
@@ -463,7 +463,7 @@ class FixpointEngine {
         return;
       }
       case PlanStep::Kind::kBinaryScanBackward: {
-        const Relation* rel = BinaryRel(s);
+        const Relation* rel = StepRelation(s);
         if (rel == nullptr) return;
         const int32_t var = s.a0.v;
         for (int32_t m : rel->Backward(Val(s.a1, binding))) {
@@ -473,7 +473,7 @@ class FixpointEngine {
         return;
       }
       case PlanStep::Kind::kBinaryScanAll: {
-        const Relation* rel = BinaryRel(s);
+        const Relation* rel = StepRelation(s);
         if (rel == nullptr) return;
         if (s.same_var) {
           // Identical variables in one atom: R(x, x).

@@ -126,17 +126,21 @@ struct Axis {
 };
 
 /// The unique y with axis(x, y), or kNoNode. Requires a functional axis.
-inline tree::NodeId Forward(const tree::Tree& t, Axis a, tree::NodeId x) {
+/// Reads a Tree, or a TreeBuilder's partial tree (the stream).
+template <typename TreeLike>
+tree::NodeId Forward(const TreeLike& t, Axis a, tree::NodeId x) {
   switch (a.pred) {
     case SchemaPred::kFirstChild: return t.first_child(x);
     case SchemaPred::kNextSibling: return t.next_sibling(x);
-    case SchemaPred::kChildK: return t.ChildK(x, a.k);
+    case SchemaPred::kChildK: return tree::ChildK(t, x, a.k);
     default: MD_DCHECK(false); return tree::kNoNode;
   }
 }
 
 /// The unique x with axis(x, y), or kNoNode. Requires a functional axis.
-inline tree::NodeId Backward(const tree::Tree& t, Axis a, tree::NodeId y) {
+/// Reads a Tree or a TreeBuilder, like Forward.
+template <typename TreeLike>
+tree::NodeId Backward(const TreeLike& t, Axis a, tree::NodeId y) {
   switch (a.pred) {
     case SchemaPred::kFirstChild:
       return t.prev_sibling(y) == tree::kNoNode ? t.parent(y) : tree::kNoNode;

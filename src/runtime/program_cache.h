@@ -80,8 +80,9 @@ struct ProgramCacheStats {
 /// than it saves.
 class ProgramCache {
  public:
-  /// `canonical_keys` = false keys strictly on the syntactic fingerprint
-  /// (the pre-canonicalization behavior, kept for A/B benchmarking).
+  /// `canonical_keys` = false keys strictly on the syntactic fingerprint, so
+  /// a canonically equal program compiled earlier is never substituted (the
+  /// engine oracles in tests need exactly the wrapper they were given).
   explicit ProgramCache(int32_t capacity, bool canonical_keys = true);
 
   util::Result<std::shared_ptr<const CompiledWrapperProgram>> GetOrCompile(

@@ -75,12 +75,6 @@ struct RuntimeOptions {
                            .sketch_entry_bytes = 4 << 10};
   /// Max number of compiled programs kept.
   int32_t program_cache_capacity = 64;
-  /// Key the program cache and the result memo on the canonical wrapper key
-  /// (analysis::CanonicalWrapperKey) as well as the wrapper text:
-  /// reformulated-but-equivalent wrapper revisions then share one compiled
-  /// plan and one set of memoized results. false = syntactic keys only (the
-  /// pre-canonicalization behavior, kept for A/B benchmarking).
-  bool canonical_program_keys = true;
   /// Optional open corpus store (store::CorpusStore::Open), served as the
   /// document cache's second level: in-memory miss → mmap'd snapshot →
   /// only then an HTML parse. Documents must have been packed with the same

@@ -1,279 +1,195 @@
 #include "src/stream/incremental_eval.h"
 
-#include <algorithm>
-
-#include "src/core/tree_schema.h"
-#include "src/util/check.h"
+#include "src/tmnf/normal_form.h"
+#include "src/util/bits.h"
 
 namespace mdatalog::stream {
 
-namespace {
+using core::SchemaPred;
 
-bool AllVars(const core::Atom& atom) {
-  for (const core::Term& t : atom.args) {
-    if (!t.is_var()) return false;
+std::vector<tree::NodeId> GrowingNodeSet::ToVector() const {
+  std::vector<tree::NodeId> out;
+  for (size_t w = 0; w < words_.size(); ++w) {
+    for (uint64_t word = words_[w]; word != 0; word &= word - 1) {
+      out.push_back(static_cast<tree::NodeId>(w * 64) + util::Ctz64(word));
+    }
   }
-  return true;
+  return out;
 }
 
-}  // namespace
-
-std::unique_ptr<IncrementalTmnfEval> IncrementalTmnfEval::Compile(
-    const core::Program& tmnf) {
-  std::unique_ptr<IncrementalTmnfEval> eval(new IncrementalTmnfEval());
+std::unique_ptr<const IncrementalTmnfEval::Rules>
+IncrementalTmnfEval::Rules::Compile(const core::Program& tmnf,
+                                    const std::vector<core::PredId>& watched) {
+  // The rule shapes below are exactly what CheckTmnf admits.
+  if (!tmnf::CheckTmnf(tmnf, {.ranked = false}).ok()) return nullptr;
+  auto index = std::make_unique<Rules>();
   const core::PredicateTable& preds = tmnf.preds();
-  eval->num_preds_ = preds.size();
-  eval->unary_.resize(eval->num_preds_);
-  eval->rules_by_p0_.resize(eval->num_preds_);
-  eval->pred_to_rel_.assign(eval->num_preds_, -1);
-  eval->hooked_.assign(eval->num_preds_, false);
+  index->num_preds_ = preds.size();
+  index->by_body_.resize(index->num_preds_);
+  index->watch_.assign(index->num_preds_, -1);
+  for (size_t i = 0; i < watched.size(); ++i) {
+    if (watched[i] >= 0) index->watch_[watched[i]] = static_cast<int32_t>(i);
+  }
 
   const std::vector<bool> intensional = tmnf.IntensionalMask();
-
-  auto rel_index = [&](core::PredId b) {
-    if (eval->pred_to_rel_[b] < 0) {
-      eval->pred_to_rel_[b] = static_cast<int32_t>(eval->rels_.size());
-      eval->rels_.emplace_back();
-      eval->rules_by_rel_.emplace_back();
-      eval->rel_pred_.push_back(b);
+  for (core::PredId p = 0; p < preds.size(); ++p) {
+    if (intensional[p]) continue;
+    std::optional<core::SchemaRef> ref =
+        core::ClassifySchemaPred(preds.Name(p), preds.Arity(p));
+    if (!ref.has_value()) continue;
+    switch (ref->pred) {
+      case SchemaPred::kRoot:
+        index->root_ = p;
+        break;
+      case SchemaPred::kLeaf:
+        index->leaf_ = p;
+        break;
+      case SchemaPred::kLastSibling:
+        index->lastsibling_ = p;
+        break;
+      case SchemaPred::kLabel:
+        index->labels_.emplace(std::move(ref->label), p);
+        break;
+      default:  // the axes: read from the tree, never asserted
+        break;
     }
-    return eval->pred_to_rel_[b];
-  };
+  }
 
   for (const core::Rule& rule : tmnf.rules()) {
-    // Every supported rule has a unary, variable head.
-    if (rule.head.args.size() != 1 || !AllVars(rule.head)) return nullptr;
-    const core::PredId head = rule.head.pred;
-    const core::VarId hv = rule.head.args[0].value;
-    for (const core::Atom& b : rule.body) {
-      if (!AllVars(b)) return nullptr;  // constants: outside the fragment
-    }
-
-    CompiledRule cr;
-    cr.head = head;
-    if (rule.body.size() == 1) {
-      // Form (1): p(x) ← p0(x).
-      const core::Atom& b = rule.body[0];
-      if (b.args.size() != 1 || b.args[0].value != hv) return nullptr;
-      cr.kind = RuleKind::kCopy;
-      cr.p0 = b.pred;
-    } else if (rule.body.size() == 2 && rule.body[0].args.size() == 1 &&
-               rule.body[1].args.size() == 1) {
-      // Form (3): p(x) ← p0(x), p1(x).
-      if (rule.body[0].args[0].value != hv ||
-          rule.body[1].args[0].value != hv) {
-        return nullptr;
-      }
-      cr.kind = RuleKind::kAnd;
-      cr.p0 = rule.body[0].pred;
-      cr.p1 = rule.body[1].pred;
+    const core::VarId x = rule.head.args[0].value;
+    Rule r{Kind::kCopy, SchemaPred::kFirstChild, rule.head.pred,
+           rule.body[0].pred, -1};
+    if (rule.body.size() == 2 && rule.body[1].args.size() == 1 &&
+        rule.body[0].args.size() == 1) {
+      r.kind = Kind::kAnd;
+      r.p1 = rule.body[1].pred;
     } else if (rule.body.size() == 2) {
-      // Form (2): p(x) ← p0(x0), B(…) with B binary and extensional.
-      const core::Atom& first = rule.body[0];
-      const core::Atom& second = rule.body[1];
-      const core::Atom& un = first.args.size() == 1 ? first : second;
-      const core::Atom& bin = first.args.size() == 2 ? first : second;
-      if (un.args.size() != 1 || bin.args.size() != 2) return nullptr;
-      if (intensional[bin.pred]) return nullptr;
-      const core::VarId uv = un.args[0].value;
-      if (uv == hv) return nullptr;  // diagonal B(x,x): not a TMNF shape
-      cr.p0 = un.pred;
-      const bool tc = core::IsSchemaPred(preds.Name(bin.pred), 2,
-                                         core::SchemaPred::kNextSiblingTc);
-      if (bin.args[0].value == uv && bin.args[1].value == hv) {
-        cr.kind = tc ? RuleKind::kTcFwd : RuleKind::kJoinFwd;
-      } else if (bin.args[0].value == hv && bin.args[1].value == uv) {
-        cr.kind = tc ? RuleKind::kTcBwd : RuleKind::kJoinBwd;
-      } else {
-        return nullptr;
-      }
-      if (cr.kind == RuleKind::kTcFwd || cr.kind == RuleKind::kTcBwd) {
-        cr.tc_mark = static_cast<int32_t>(eval->tc_marks_.size());
-        eval->tc_marks_.emplace_back();
-      } else {
-        cr.rel = rel_index(bin.pred);
-      }
-    } else {
-      return nullptr;
+      const bool unary_first = rule.body[0].args.size() == 1;
+      const core::Atom& un = rule.body[unary_first ? 0 : 1];
+      const core::Atom& bin = rule.body[unary_first ? 1 : 0];
+      r.p0 = un.pred;
+      r.axis = core::ClassifySchemaPred(preds.Name(bin.pred), 2)->pred;
+      r.kind = bin.args[1].value == x ? Kind::kForward : Kind::kBackward;
     }
-    if (preds.Arity(cr.p0) != 1) return nullptr;
-    if (cr.p1 >= 0 && preds.Arity(cr.p1) != 1) return nullptr;
-
-    const int32_t id = static_cast<int32_t>(eval->rules_.size());
-    eval->rules_by_p0_[cr.p0].push_back(id);
+    const int32_t id = static_cast<int32_t>(index->rules_.size());
+    index->by_body_[r.p0].push_back(id);
     // kAnd fires from either conjunct's delta; index it under both.
-    if (cr.kind == RuleKind::kAnd && cr.p1 != cr.p0) {
-      eval->rules_by_p0_[cr.p1].push_back(id);
+    if (r.kind == Kind::kAnd && r.p1 != r.p0) {
+      index->by_body_[r.p1].push_back(id);
     }
-    if (cr.rel >= 0) eval->rules_by_rel_[cr.rel].push_back(id);
-    eval->rules_.push_back(cr);
-  }
-  return eval;
-}
-
-void IncrementalTmnfEval::AddNode(int32_t node, int32_t prev_sibling) {
-  MD_CHECK(node == domain_);
-  domain_ = node + 1;
-  next_sibling_.push_back(-1);
-  prev_sibling_.push_back(prev_sibling);
-  if (prev_sibling >= 0) next_sibling_[prev_sibling] = node;
-  for (auto& rel : rels_) {
-    rel.fwd.emplace_back();
-    rel.bwd.emplace_back();
-  }
-  binary_bytes_ +=
-      static_cast<int64_t>(rels_.size()) * 2 * sizeof(std::vector<int32_t>);
-  if (prev_sibling < 0) return;
-  // A kTcFwd rule whose mark reached prev_sibling covers every later sibling
-  // too: extend the mark (and the head) onto the new chain tail.
-  for (const CompiledRule& rule : rules_) {
-    if (rule.kind != RuleKind::kTcFwd) continue;
-    if (tc_marks_[rule.tc_mark].Test(prev_sibling) &&
-        tc_marks_[rule.tc_mark].Set(node)) {
-      Insert(rule.head, node);
+    if (r.kind == Kind::kForward) {
+      (r.axis == SchemaPred::kFirstChild ? index->forward_firstchild_
+                                         : index->forward_nextsibling_)
+          .push_back(id);
     }
+    index->rules_.push_back(r);
+  }
+  return index;
+}
+
+IncrementalTmnfEval::IncrementalTmnfEval(const Rules& rules,
+                                         const tree::TreeBuilder& tree,
+                                         tree::NodeId root, DeriveHook hook)
+    : rules_(rules),
+      tree_(tree),
+      root_(root),
+      hook_(std::move(hook)),
+      facts_(rules.num_preds_) {}
+
+void IncrementalTmnfEval::NodeCreated(tree::NodeId n) {
+  if (n < root_) return;
+  const auto label = rules_.labels_.find(tree_.label_name(n));
+  if (label != rules_.labels_.end()) Insert(label->second, n);
+  if (n == root_) {
+    if (rules_.root_ >= 0) Insert(rules_.root_, n);
+    return;
+  }
+  // The in-edge joins the forward rules from its source. A backward rule
+  // would need p0 at n, which holds no derived fact yet; n's own deltas
+  // read the edge through Backward when they are processed.
+  const tree::NodeId prev = tree_.prev_sibling(n);
+  const bool first = prev == tree::kNoNode;
+  const tree::NodeId source = first ? tree_.parent(n) : prev;
+  for (const int32_t id : rules_.forward(first ? SchemaPred::kFirstChild
+                                               : SchemaPred::kNextSibling)) {
+    const Rules::Rule& rule = rules_.rules_[id];
+    if (facts_[rule.p0].Contains(source)) Insert(rule.head, n);
   }
 }
 
-void IncrementalTmnfEval::AddUnaryFact(core::PredId pred, int32_t node) {
-  MD_CHECK(pred >= 0 && pred < num_preds_ && node >= 0 && node < domain_);
-  Insert(pred, node);
-}
-
-void IncrementalTmnfEval::AddBinaryFact(core::PredId pred, int32_t a,
-                                        int32_t b) {
-  MD_CHECK(a >= 0 && a < domain_ && b >= 0 && b < domain_);
-  MD_CHECK(pred >= 0 && pred < num_preds_);
-  const int32_t rel = pred_to_rel_[pred];
-  if (rel < 0) return;  // no rule reads this relation
-  rels_[rel].fwd[a].push_back(b);
-  rels_[rel].bwd[b].push_back(a);
-  binary_bytes_ += 2 * sizeof(int32_t);
-  binary_delta_.push_back({rel, a, b});
-}
-
-int64_t IncrementalTmnfEval::ApproxBytes() const {
-  int64_t bytes = static_cast<int64_t>(sizeof(*this)) + binary_bytes_;
-  for (const Bits& b : unary_) {
-    bytes += static_cast<int64_t>(b.words.capacity()) * sizeof(uint64_t);
+void IncrementalTmnfEval::NodeClosed(tree::NodeId n) {
+  if (n < root_) return;
+  const tree::NodeId last = tree_.last_child(n);
+  if (last == tree::kNoNode) {
+    if (rules_.leaf_ >= 0) Insert(rules_.leaf_, n);
+  } else if (rules_.lastsibling_ >= 0) {
+    Insert(rules_.lastsibling_, last);
   }
-  for (const Bits& b : tc_marks_) {
-    bytes += static_cast<int64_t>(b.words.capacity()) * sizeof(uint64_t);
-  }
-  bytes += static_cast<int64_t>(next_sibling_.capacity() +
-                                prev_sibling_.capacity()) *
-           sizeof(int32_t);
-  bytes += static_cast<int64_t>(unary_delta_.size()) *
-           sizeof(std::pair<core::PredId, int32_t>);
-  bytes += static_cast<int64_t>(binary_delta_.size()) *
-           sizeof(std::array<int32_t, 3>);
-  bytes += static_cast<int64_t>(insertion_log_.capacity()) *
-           sizeof(std::pair<core::PredId, int32_t>);
-  return bytes;
 }
 
-void IncrementalTmnfEval::Insert(core::PredId pred, int32_t node) {
-  if (!unary_[pred].Set(node)) return;
+void IncrementalTmnfEval::Insert(core::PredId pred, tree::NodeId node) {
+  if (!facts_[pred].Insert(node)) return;
   ++num_facts_;
-  insertion_log_.emplace_back(pred, node);
-  if (hooked_[pred] && hook_) hook_(pred, node);
-  unary_delta_.emplace_back(pred, node);
+  delta_.emplace_back(pred, node);
+  const int32_t watch = rules_.watch_[pred];
+  if (watch >= 0 && hook_) hook_(watch, node);
 }
 
 util::Status IncrementalTmnfEval::Propagate(const util::EvalControl* control) {
   // Each event is processed atomically: the ticker is consulted only at the
-  // loop top and the event is popped only after all its rules fired, so an
-  // abort leaves every queued event intact and the tc mark invariant
-  // ("marked ⇒ all chain positions beyond it are marked") unbroken — a later
+  // loop top, so an abort leaves every queued event intact and a later
   // Propagate resumes exactly where this one stopped.
   util::EvalTicker ticker(control);
-  while (!unary_delta_.empty() || !binary_delta_.empty()) {
+  while (delta_head_ < delta_.size()) {
     MD_RETURN_NOT_OK(ticker.Tick());
-    if (!unary_delta_.empty()) {
-      const auto [pred, a] = unary_delta_.front();
-      for (int32_t rid : rules_by_p0_[pred]) {
-        const CompiledRule& rule = rules_[rid];
-        switch (rule.kind) {
-          case RuleKind::kCopy:
-            Insert(rule.head, a);
-            break;
-          case RuleKind::kAnd: {
-            // Indexed under both conjuncts; probe the other one.
-            const core::PredId other = pred == rule.p0 ? rule.p1 : rule.p0;
-            if (unary_[other].Test(a)) Insert(rule.head, a);
-            break;
+    const auto [pred, a] = delta_[delta_head_++];
+    for (const int32_t id : rules_.by_body_[pred]) {
+      const Rules::Rule& rule = rules_.rules_[id];
+      tree::NodeId b = a;
+      switch (rule.kind) {
+        case Rules::Kind::kCopy:
+          break;
+        case Rules::Kind::kAnd:
+          // Indexed under both conjuncts; probe the other one.
+          if (!facts_[pred == rule.p0 ? rule.p1 : rule.p0].Contains(a)) {
+            continue;
           }
-          case RuleKind::kJoinFwd:
-            for (int32_t b : rels_[rule.rel].fwd[a]) Insert(rule.head, b);
-            break;
-          case RuleKind::kJoinBwd:
-            for (int32_t b : rels_[rule.rel].bwd[a]) Insert(rule.head, b);
-            break;
-          case RuleKind::kTcFwd:
-            // p0 at a ⇒ head holds at a and every sibling after it. Walk
-            // forward until a position this rule already covered: everything
-            // beyond is covered too (marks only grow from covered seeds).
-            for (int32_t n = a; n >= 0; n = next_sibling_[n]) {
-              if (!tc_marks_[rule.tc_mark].Set(n)) break;
-              Insert(rule.head, n);
-            }
-            break;
-          case RuleKind::kTcBwd:
-            for (int32_t n = a; n >= 0; n = prev_sibling_[n]) {
-              if (!tc_marks_[rule.tc_mark].Set(n)) break;
-              Insert(rule.head, n);
-            }
-            break;
-        }
+          break;
+        case Rules::Kind::kForward:
+          b = core::Forward(tree_, {rule.axis}, a);
+          break;
+        case Rules::Kind::kBackward:
+          // The world's root has no in-edge.
+          b = a == root_ ? tree::kNoNode
+                         : core::Backward(tree_, {rule.axis}, a);
+          break;
       }
-      unary_delta_.pop_front();
-      continue;
+      if (b != tree::kNoNode) Insert(rule.head, b);
     }
-    const auto [rel, a, b] = binary_delta_.front();
-    for (int32_t rid : rules_by_rel_[rel]) {
-      const CompiledRule& rule = rules_[rid];
-      if (rule.kind == RuleKind::kJoinFwd) {
-        if (unary_[rule.p0].Test(a)) Insert(rule.head, b);
-      } else {
-        if (unary_[rule.p0].Test(b)) Insert(rule.head, a);
-      }
+    // Drop the processed prefix once it dominates, so the queue holds
+    // O(pending) entries rather than every fact of a long Propagate.
+    if (delta_head_ >= 1024 && delta_head_ * 2 >= delta_.size()) {
+      delta_.erase(delta_.begin(), delta_.begin() + delta_head_);
+      delta_head_ = 0;
     }
-    binary_delta_.pop_front();
   }
+  delta_.clear();
+  delta_head_ = 0;
   return util::Status::OK();
 }
 
-void IncrementalTmnfEval::SetDeriveHook(
-    const std::vector<core::PredId>& preds,
-    std::function<void(core::PredId, int32_t)> hook) {
-  hooked_.assign(num_preds_, false);
-  for (core::PredId p : preds) {
-    if (p >= 0 && p < num_preds_) hooked_[p] = true;
-  }
-  hook_ = std::move(hook);
-  if (!hook_) return;
-  for (const auto& [pred, node] : insertion_log_) {
-    if (hooked_[pred]) hook_(pred, node);
-  }
+std::vector<tree::NodeId> IncrementalTmnfEval::Members(
+    core::PredId pred) const {
+  if (pred < 0 || pred >= rules_.num_preds_) return {};
+  return facts_[pred].ToVector();
 }
 
-bool IncrementalTmnfEval::Contains(core::PredId pred, int32_t node) const {
-  return pred >= 0 && pred < num_preds_ && unary_[pred].Test(node);
-}
-
-std::vector<int32_t> IncrementalTmnfEval::Members(core::PredId pred) const {
-  std::vector<int32_t> out;
-  if (pred < 0 || pred >= num_preds_) return out;
-  const Bits& bits = unary_[pred];
-  for (size_t w = 0; w < bits.words.size(); ++w) {
-    uint64_t word = bits.words[w];
-    while (word != 0) {
-      const int bit = __builtin_ctzll(word);
-      out.push_back(static_cast<int32_t>(w * 64 + bit));
-      word &= word - 1;
-    }
-  }
-  return out;
+int64_t IncrementalTmnfEval::ApproxBytes() const {
+  int64_t bytes = static_cast<int64_t>(
+      sizeof(*this) + facts_.capacity() * sizeof(GrowingNodeSet) +
+      delta_.capacity() * sizeof(delta_[0]));
+  for (const GrowingNodeSet& set : facts_) bytes += set.ApproxBytes();
+  return bytes;
 }
 
 }  // namespace mdatalog::stream

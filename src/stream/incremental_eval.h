@@ -1,161 +1,170 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/core/ast.h"
+#include "src/core/tree_schema.h"
+#include "src/tree/tree.h"
 #include "src/util/deadline.h"
 #include "src/util/result.h"
 
 /// \file incremental_eval.h
-/// Insertion-only semi-naive evaluation of TMNF programs over a growing tree
-/// EDB — the engine behind the streaming front (stream_session.h).
+/// Insertion-only semi-naive evaluation of a TMNF program over the tree the
+/// stream grows — the engine behind the streaming front (stream_session.h).
 ///
 /// The paper's Theorem 4.2 evaluates a monadic datalog program in one pass
 /// over a *complete* tree. Streaming inverts the setup: the tree grows as
-/// bytes arrive, and the session asserts an EDB fact only at the moment it
-/// becomes *finally* true (a node's label at creation, leaf/lastchild when
-/// the element closes, root at end of input). Under that discipline the EDB
-/// is insert-only, datalog is monotone, and the worklist fixpoint maintained
-/// here after every insertion equals the batch fixpoint over the finished
-/// tree — early derivations are sound, the final state is complete.
+/// bytes arrive, and the evaluator asserts a unary EDB fact only at the
+/// moment it becomes *finally* true — label_a (and root, for the world's
+/// root) when a node is created, leaf or lastsibling when an element closes.
+/// Under that discipline the EDB is insert-only, datalog is monotone, and
+/// the worklist fixpoint maintained here after every event equals the batch
+/// fixpoint over the finished tree — early derivations are sound, the final
+/// state is complete.
 ///
-/// TMNF (Definition 5.1) is what makes the delta dispatch trivial: every
-/// rule is a copy p(x) ← p0(x), a one-step join p(x) ← p0(x0), B(x0,x) (or
-/// B(x,x0)), or an intersection p(x) ← p0(x), p1(x). A new unary fact
-/// triggers O(1) rule firings plus adjacency walks; a new binary fact
-/// triggers one membership probe per rule over that relation.
+/// The fragment is exactly what tmnf::CheckTmnf admits over τ_ur, which is
+/// where the Theorem 5.2 normalizer puts every program (Definition 5.1):
 ///
-/// nextsibling_tc (the reflexive-transitive sibling closure, Lemma 5.5) is
-/// special-cased: its pair set is quadratic in sibling-group width, so rules
-/// over it are evaluated as marked walks along the sibling chain instead of
-/// materialized pairs — O(nodes) per rule over the whole stream.
+///   p(x) ← p0(x).   p(x) ← p0(x), p1(x).   p(x) ← p0(x0), R(x0, x) | R(x, x0)
+///
+/// with p0, p1 intensional or one of root, leaf, lastsibling, label_a, and
+/// R ∈ {firstchild, nextsibling}. Both axes are functional in both
+/// directions (Proposition 4.1), so no binary fact is stored: a unary delta
+/// p0(a) joins by reading the partial tree through core::Forward /
+/// core::Backward — at most one node per rule. A node's single in-edge
+/// (firstchild from its parent, or nextsibling from its previous sibling) is
+/// its one join event, fired when the node is created.
 
 namespace mdatalog::stream {
 
-/// Incremental fixpoint state for one TMNF program over one growing domain.
-/// Not thread-safe: one instance per StreamSession.
+/// A node set that grows with the domain: one bit per node.
+class GrowingNodeSet {
+ public:
+  bool Contains(tree::NodeId n) const {
+    const size_t w = static_cast<size_t>(n) >> 6;
+    return w < words_.size() && (words_[w] >> (n & 63)) & 1;
+  }
+  /// Returns true when `n` was newly inserted.
+  bool Insert(tree::NodeId n) {
+    const size_t w = static_cast<size_t>(n) >> 6;
+    if (w >= words_.size()) words_.resize(w + 1, 0);
+    const uint64_t mask = uint64_t{1} << (n & 63);
+    if (words_[w] & mask) return false;
+    words_[w] |= mask;
+    return true;
+  }
+  /// Members, ascending.
+  std::vector<tree::NodeId> ToVector() const;
+  int64_t ApproxBytes() const {
+    return static_cast<int64_t>(words_.capacity() * sizeof(uint64_t));
+  }
+
+ private:
+  std::vector<uint64_t> words_;
+};
+
+/// Incremental fixpoint state for one TMNF program in one root world of a
+/// growing tree. Not thread-safe: owned by one StreamSession.
 class IncrementalTmnfEval {
  public:
-  /// Compiles `tmnf` for incremental evaluation. Returns nullptr when the
-  /// program is outside the supported fragment (a rule not in one of the
-  /// three TMNF shapes over pure variables, a constant, a non-unary head, or
-  /// an intensional binary predicate) — the session then falls back to batch
-  /// evaluation at Finish. Programs produced by the Theorem 5.2 normalizer
-  /// (CompiledWrapperProgram::tmnf) always compile.
-  static std::unique_ptr<IncrementalTmnfEval> Compile(
-      const core::Program& tmnf);
+  /// The compiled, immutable rule index of one program. The evaluators of
+  /// both root worlds share it.
+  class Rules {
+   public:
+    /// nullptr when `tmnf` fails tmnf::CheckTmnf over τ_ur — the session
+    /// then falls back to batch evaluation at Finish. Programs produced by
+    /// the Theorem 5.2 normalizer (CompiledWrapperProgram::tmnf) always
+    /// compile. New members of `watched[i]` are reported to the evaluators'
+    /// derive hooks as watch index i.
+    static std::unique_ptr<const Rules> Compile(
+        const core::Program& tmnf, const std::vector<core::PredId>& watched);
 
-  /// Grows the domain to include `node` (nodes must arrive in increasing id
-  /// order) and wires it into its sibling chain (`prev_sibling` = -1 for a
-  /// first child). Used by the nextsibling_tc walks.
-  void AddNode(int32_t node, int32_t prev_sibling);
+   private:
+    friend class IncrementalTmnfEval;
+    enum class Kind : uint8_t {
+      kCopy,      // p(x) ← p0(x)
+      kAnd,       // p(x) ← p0(x), p1(x)
+      kForward,   // p(x) ← p0(x0), axis(x0, x)
+      kBackward,  // p(x) ← p0(x0), axis(x, x0)
+    };
+    struct Rule {
+      Kind kind;
+      core::SchemaPred axis;  // kForward/kBackward: firstchild or nextsibling
+      core::PredId head;
+      core::PredId p0;
+      core::PredId p1;  // kAnd only
+    };
+    /// The forward rules over `axis`, which a new in-edge fires.
+    const std::vector<int32_t>& forward(core::SchemaPred axis) const {
+      return axis == core::SchemaPred::kFirstChild ? forward_firstchild_
+                                                   : forward_nextsibling_;
+    }
 
-  /// Asserts an extensional unary fact pred(node). Idempotent.
-  void AddUnaryFact(core::PredId pred, int32_t node);
-  /// Asserts an extensional binary fact pred(a, b). The session only asserts
-  /// each pair once; pairs of nextsibling_tc must not be asserted (walks
-  /// read the sibling chain directly).
-  void AddBinaryFact(core::PredId pred, int32_t a, int32_t b);
+    int32_t num_preds_ = 0;
+    std::vector<Rule> rules_;
+    std::vector<std::vector<int32_t>> by_body_;  // PredId → rules reading it
+    std::vector<int32_t> forward_firstchild_, forward_nextsibling_;
+    // The unary EDB predicates a body reads (-1: never read).
+    core::PredId root_ = -1, leaf_ = -1, lastsibling_ = -1;
+    std::unordered_map<std::string, core::PredId> labels_;
+    std::vector<int32_t> watch_;  // PredId → watch index or -1
+  };
 
-  /// Runs the worklist to fixpoint over everything asserted since the last
-  /// call. `control` may be null; on kDeadlineExceeded / kCancelled the
-  /// state is consistent but incomplete — call Propagate again to resume.
+  using DeriveHook = std::function<void(int32_t watch, tree::NodeId node)>;
+
+  /// An evaluator over `tree` in the world rooted at `root`: root(root)
+  /// holds, `root` has no in-edge and is never a last sibling, and nodes
+  /// before `root` are outside the world. `rules` and `tree` must outlive
+  /// it. `hook` (may be empty) hears every new member of a watched
+  /// predicate, at the moment it is derived.
+  IncrementalTmnfEval(const Rules& rules, const tree::TreeBuilder& tree,
+                      tree::NodeId root, DeriveHook hook);
+
+  /// Tree events, in the order the tree grows: node n was just created (its
+  /// label and in-edge are in `tree`), or n's subtree just closed.
+  void NodeCreated(tree::NodeId n);
+  void NodeClosed(tree::NodeId n);
+
+  /// Runs the worklist to fixpoint over every event since the last call.
+  /// `control` may be null; on kDeadlineExceeded / kCancelled the state is
+  /// consistent but incomplete — call Propagate again to resume.
   util::Status Propagate(const util::EvalControl* control);
 
-  /// Fires `hook(pred, node)` whenever one of `preds` gains a member
-  /// (asserted or derived), including members gained before the hook was
-  /// installed — replays are in (pred, node) insertion order.
-  void SetDeriveHook(const std::vector<core::PredId>& preds,
-                     std::function<void(core::PredId, int32_t)> hook);
-
-  bool Contains(core::PredId pred, int32_t node) const;
-  /// Members of `pred`, sorted ascending. pred may be any unary predicate.
-  std::vector<int32_t> Members(core::PredId pred) const;
+  bool Contains(core::PredId pred, tree::NodeId node) const {
+    return pred >= 0 && pred < rules_.num_preds_ && facts_[pred].Contains(node);
+  }
+  /// Members of `pred`, ascending.
+  std::vector<tree::NodeId> Members(core::PredId pred) const;
 
   int64_t num_facts() const { return num_facts_; }
 
-  /// Approximate heap footprint of the evaluator's state (bitsets, binary
-  /// adjacency, sibling chains, pending deltas, insertion log). O(#preds)
-  /// per call, not O(domain): the binary adjacency — the only part whose
-  /// exact walk would be linear in the domain — is tracked incrementally as
-  /// nodes and facts arrive. Feeds the session's peak_edb_bytes gauge.
+  /// Heap footprint of the evaluator's own state — one node set per
+  /// predicate and the pending-delta queue, by capacity; the tree and the
+  /// shared, program-sized Rules are not counted. O(#preds) per call. Feeds
+  /// the session's peak_edb_bytes gauge.
   int64_t ApproxBytes() const;
 
  private:
-  enum class RuleKind : uint8_t {
-    kCopy,     // p(x) ← p0(x)
-    kAnd,      // p(x) ← p0(x), p1(x)
-    kJoinFwd,  // p(x) ← p0(x0), B(x0, x)
-    kJoinBwd,  // p(x) ← p0(x0), B(x, x0)
-    kTcFwd,    // p(x) ← p0(x0), nextsibling_tc(x0, x)
-    kTcBwd,    // p(x) ← p0(x0), nextsibling_tc(x, x0)
-  };
-  struct CompiledRule {
-    RuleKind kind;
-    core::PredId head;
-    core::PredId p0;
-    core::PredId p1 = -1;   // kAnd only
-    int32_t rel = -1;       // kJoinFwd/kJoinBwd: index into rels_
-    int32_t tc_mark = -1;   // kTcFwd/kTcBwd: index into tc_marks_
-  };
-  /// Adjacency of one binary EDB relation (grown with the domain).
-  struct BinaryRel {
-    std::vector<std::vector<int32_t>> fwd;
-    std::vector<std::vector<int32_t>> bwd;
-  };
-  /// One membership bitset per unary predicate, grown with the domain.
-  struct Bits {
-    std::vector<uint64_t> words;
-    bool Test(int32_t n) const {
-      const size_t w = static_cast<size_t>(n) >> 6;
-      return w < words.size() && (words[w] >> (n & 63)) & 1;
-    }
-    /// Returns true when the bit was newly set.
-    bool Set(int32_t n) {
-      const size_t w = static_cast<size_t>(n) >> 6;
-      if (w >= words.size()) words.resize(w + 1, 0);
-      const uint64_t mask = uint64_t{1} << (n & 63);
-      if (words[w] & mask) return false;
-      words[w] |= mask;
-      return true;
-    }
-  };
-
-  IncrementalTmnfEval() = default;
-
   /// Records pred(node) if new: sets the bit, fires the hook, enqueues the
   /// delta. Shared by EDB assertion and rule derivation.
-  void Insert(core::PredId pred, int32_t node);
+  void Insert(core::PredId pred, tree::NodeId node);
 
-  int32_t num_preds_ = 0;
-  std::vector<CompiledRule> rules_;
-  std::vector<std::vector<int32_t>> rules_by_p0_;  // PredId → rule indexes
-  std::vector<std::vector<int32_t>> rules_by_rel_; // rel index → rule indexes
-  std::vector<core::PredId> rel_pred_;             // rel index → PredId
-  std::vector<int32_t> pred_to_rel_;               // PredId → rel index or -1
+  const Rules& rules_;
+  const tree::TreeBuilder& tree_;
+  const tree::NodeId root_;
+  const DeriveHook hook_;
 
-  std::vector<Bits> unary_;        // per PredId
-  std::vector<BinaryRel> rels_;
-  std::vector<Bits> tc_marks_;     // per tc rule: chain positions covered
-  std::vector<int32_t> next_sibling_, prev_sibling_;
-  int32_t domain_ = 0;
-
-  std::deque<std::pair<core::PredId, int32_t>> unary_delta_;
-  std::deque<std::array<int32_t, 3>> binary_delta_;  // (rel, a, b)
-
-  std::vector<bool> hooked_;
-  std::function<void(core::PredId, int32_t)> hook_;
-  /// All (pred, node) insertions in order, for hook replay.
-  std::vector<std::pair<core::PredId, int32_t>> insertion_log_;
+  std::vector<GrowingNodeSet> facts_;  // per PredId
+  /// FIFO of unprocessed (pred, node) deltas: [delta_head_, end).
+  std::vector<std::pair<core::PredId, tree::NodeId>> delta_;
+  size_t delta_head_ = 0;
   int64_t num_facts_ = 0;
-  int64_t binary_bytes_ = 0;  // adjacency-list bytes, kept by Add{Node,BinaryFact}
 };
 
 }  // namespace mdatalog::stream

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/core/tree_schema.h"
 #include "src/elog/eval.h"
 #include "src/html/parser.h"
 #include "src/tree/serialize.h"
@@ -10,21 +9,6 @@
 #include "src/wrapper/wrapper.h"
 
 namespace mdatalog::stream {
-
-using core::SchemaPred;
-
-namespace {
-
-uint64_t DerivedKey(core::PredId pred, tree::NodeId node) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(pred)) << 32) |
-         static_cast<uint32_t>(node);
-}
-
-constexpr uint8_t kInStripped = 1;
-constexpr uint8_t kInKept = 2;
-constexpr uint8_t kEmitted = 4;
-
-}  // namespace
 
 StreamSession::StreamSession(
     std::shared_ptr<const runtime::CompiledWrapperProgram> program,
@@ -46,68 +30,36 @@ StreamSession::StreamSession(
   } else if (telemetry_ != nullptr) {
     trace_ = telemetry_->StartTrace("stream");
   }
-  if (program_->has_ground_plan) {
-    eval_stripped_ = IncrementalTmnfEval::Compile(program_->tmnf);
+  closed_.push_back(false);  // the synthetic root (node 0)
+  if (!program_->has_ground_plan) return;
+  // Group the extraction patterns by their predicate, in PredId order.
+  std::vector<std::pair<core::PredId, int32_t>> by_pred;
+  for (size_t i = 0; i < program_->pattern_preds.size(); ++i) {
+    const core::PredId p = program_->pattern_preds[i];
+    if (p >= 0) by_pred.emplace_back(p, static_cast<int32_t>(i));
   }
-  incremental_ = eval_stripped_ != nullptr;
-  if (incremental_) {
-    eval_kept_ = IncrementalTmnfEval::Compile(program_->tmnf);
-    MD_CHECK(eval_kept_ != nullptr);  // same program, same outcome
-
-    const core::PredicateTable& preds = program_->tmnf.preds();
-    const std::vector<bool> intensional = program_->tmnf.IntensionalMask();
-    edb_preds_.fill(-1);
-    for (core::PredId p = 0; p < preds.size(); ++p) {
-      if (intensional[p]) continue;
-      std::optional<core::SchemaRef> ref =
-          core::ClassifySchemaPred(preds.Name(p), preds.Arity(p));
-      if (!ref.has_value()) continue;
-      switch (ref->pred) {
-        case SchemaPred::kLabel:
-          label_preds_.emplace(std::move(ref->label), p);
-          break;
-        case SchemaPred::kChildK:
-          childk_preds_.emplace_back(ref->k, p);
-          break;
-        default:
-          edb_preds_[static_cast<int>(ref->pred)] = p;
-          break;
-      }
+  std::sort(by_pred.begin(), by_pred.end());
+  std::vector<core::PredId> watched;
+  for (const auto& [pred, pattern] : by_pred) {
+    if (watched.empty() || watched.back() != pred) {
+      watched.push_back(pred);
+      pattern_preds_.push_back({pred, {}, {}});
     }
-    const auto& patterns = program_->prepared.extraction_patterns;
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      const core::PredId p = program_->pattern_preds[i];
-      if (p < 0) continue;
-      if (pred_patterns_.find(p) == pred_patterns_.end()) {
-        pattern_pred_list_.push_back(p);
-      }
-      pred_patterns_[p].push_back(static_cast<int32_t>(i));
-    }
-    eval_stripped_->SetDeriveHook(pattern_pred_list_,
-                                  [this](core::PredId pred, int32_t node) {
-                                    derived_[DerivedKey(pred, node)] |=
-                                        kInStripped;
-                                    MaybeEmit(pred, node);
-                                  });
-    eval_kept_->SetDeriveHook(pattern_pred_list_,
-                              [this](core::PredId pred, int32_t node) {
-                                derived_[DerivedKey(pred, node)] |= kInKept;
-                                MaybeEmit(pred, node);
-                              });
+    pattern_preds_.back().patterns.push_back(pattern);
   }
+  rules_ = IncrementalTmnfEval::Rules::Compile(program_->tmnf, watched);
+  if (rules_ == nullptr) return;
+  const auto emit = [this](int32_t slot, tree::NodeId node) {
+    MaybeEmit(slot, node);
+  };
   // The tree constructor's synthetic root (node 0): whether it survives into
-  // the output tree is settled at end of input. Until then the two
-  // evaluators disagree about it by design: the kept world knows everything
-  // about node 0 up front, the stripped world never hears of it (node 0
-  // enters its domain factless and linkless, so no derivation can ever touch
-  // it).
-  closed_.push_back(false);
-  if (incremental_) {
-    eval_stripped_->AddNode(0, -1);
-    eval_kept_->AddNode(0, -1);
-    AssertUnary(eval_kept_.get(), SchemaPred::kRoot, 0);
-    AssertLabel(eval_kept_.get(), "#document", 0);
-  }
+  // the output tree is settled at end of input. The stripped world is rooted
+  // at node 1 and never hears of node 0; the kept world is rooted at it.
+  eval_stripped_ =
+      std::make_unique<IncrementalTmnfEval>(*rules_, tree_.builder(), 1, emit);
+  eval_kept_ =
+      std::make_unique<IncrementalTmnfEval>(*rules_, tree_.builder(), 0, emit);
+  eval_kept_->NodeCreated(0);
 }
 
 StreamSession::~StreamSession() {
@@ -163,6 +115,9 @@ void StreamSession::UpdateEdbPeak() {
   int64_t bytes = 0;
   for (IncrementalTmnfEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
     if (ev != nullptr) bytes += ev->ApproxBytes();
+  }
+  for (const PatternPred& pp : pattern_preds_) {
+    bytes += pp.emitted.ApproxBytes();
   }
   peak_edb_bytes_ = std::max(peak_edb_bytes_, bytes);
 }
@@ -223,66 +178,27 @@ void StreamSession::NodeCreated(tree::NodeId n, tree::NodeId parent,
                                 int32_t k, const html::Token& /*token*/) {
   closed_.push_back(false);
   peak_live_nodes_ = std::max(peak_live_nodes_, ++live_nodes_);
-  if (!incremental_) return;
-  const tree::NodeId prev = tree_.builder().prev_sibling(n);
-  const std::string& label = tree_.builder().label_name(n);
-
-  // A second top-level node refutes the stripped hypothesis before any fact
-  // about this node is asserted.
+  if (rules_ == nullptr) return;
+  // A second top-level node refutes the stripped hypothesis before the
+  // stripped world could hear of it.
   if (parent == 0 && k == 2 && !settled_) ResolveKept();
-
-  if (eval_stripped_ != nullptr) {
-    eval_stripped_->AddNode(n, prev);
-    AssertLabel(eval_stripped_.get(), label, n);
-    if (parent == 0) {
-      // The first top-level node IS the root of the stripped tree (internal
-      // ids run one above the batch EDB's). No sibling/parent facts: the
-      // external root has none in TreeDatabase::Materialize.
-      AssertUnary(eval_stripped_.get(), SchemaPred::kRoot, n);
-    } else {
-      if (prev == tree::kNoNode) {
-        AssertBinary(eval_stripped_.get(), SchemaPred::kFirstChild, parent, n);
-        AssertUnary(eval_stripped_.get(), SchemaPred::kFirstSibling, n);
-      } else {
-        AssertBinary(eval_stripped_.get(), SchemaPred::kNextSibling, prev, n);
-      }
-      AssertBinary(eval_stripped_.get(), SchemaPred::kChild, parent, n);
-      AssertChildK(eval_stripped_.get(), k, parent, n);
-    }
-  }
-  if (eval_kept_ != nullptr) {
-    // In the kept world node 0 is an ordinary node: top-level children link
-    // to it exactly like any other parent.
-    eval_kept_->AddNode(n, prev);
-    AssertLabel(eval_kept_.get(), label, n);
-    if (prev == tree::kNoNode) {
-      AssertBinary(eval_kept_.get(), SchemaPred::kFirstChild, parent, n);
-      AssertUnary(eval_kept_.get(), SchemaPred::kFirstSibling, n);
-    } else {
-      AssertBinary(eval_kept_.get(), SchemaPred::kNextSibling, prev, n);
-    }
-    AssertBinary(eval_kept_.get(), SchemaPred::kChild, parent, n);
-    AssertChildK(eval_kept_.get(), k, parent, n);
+  for (IncrementalTmnfEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
+    if (ev != nullptr) ev->NodeCreated(n);
   }
 }
 
 void StreamSession::NodeClosed(tree::NodeId n) {
   closed_[n] = true;
   --live_nodes_;
-  if (!incremental_) return;
-  const tree::NodeId lc = tree_.builder().last_child(n);
+  if (rules_ == nullptr) return;
   for (IncrementalTmnfEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
-    if (ev == nullptr) continue;
-    if (lc == tree::kNoNode) {
-      AssertUnary(ev, SchemaPred::kLeaf, n);
-    } else {
-      AssertUnary(ev, SchemaPred::kLastSibling, lc);
-      AssertBinary(ev, SchemaPred::kLastChild, n, lc);
-    }
+    if (ev != nullptr) ev->NodeClosed(n);
   }
   // Anything already derived for this node was held back by the closed_
   // check; it is eligible now.
-  for (const core::PredId pred : pattern_pred_list_) MaybeEmit(pred, n);
+  for (size_t slot = 0; slot < pattern_preds_.size(); ++slot) {
+    MaybeEmit(static_cast<int32_t>(slot), n);
+  }
 }
 
 void StreamSession::ResolveKept() {
@@ -294,51 +210,35 @@ void StreamSession::ResolveKept() {
   FlushEligible();
 }
 
-void StreamSession::MaybeEmit(core::PredId pred, tree::NodeId node) {
-  const auto it = derived_.find(DerivedKey(pred, node));
-  if (it == derived_.end()) return;
-  uint8_t& bits = it->second;
-  if (bits & kEmitted) return;
-  if (!closed_[node]) return;
+void StreamSession::MaybeEmit(int32_t slot, tree::NodeId node) {
+  PatternPred& pp = pattern_preds_[slot];
+  if (!closed_[node] || pp.emitted.Contains(node)) return;
   // Pre-resolution, a result must hold under both hypotheses to be sound;
   // afterwards the winner alone decides.
-  const uint8_t need = settled_    ? kInKept
-                       : stripped_ ? kInStripped
-                                   : (kInStripped | kInKept);
-  if ((bits & need) != need) return;
-  bits |= kEmitted;
-  for (const int32_t idx : pred_patterns_[pred]) EmitResult(idx, node);
+  for (IncrementalTmnfEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
+    if (ev != nullptr && !ev->Contains(pp.pred, node)) return;
+  }
+  pp.emitted.Insert(node);
+  for (const int32_t idx : pp.patterns) EmitResult(idx, node);
 }
 
 void StreamSession::FlushEligible() {
-  std::vector<uint64_t> keys;
-  keys.reserve(derived_.size());
-  for (const auto& [key, bits] : derived_) {
-    if (!(bits & kEmitted)) keys.push_back(key);
+  MD_DCHECK((eval_stripped_ == nullptr) != (eval_kept_ == nullptr));
+  const IncrementalTmnfEval& live =
+      eval_kept_ != nullptr ? *eval_kept_ : *eval_stripped_;
+  // Deterministic emission order: by node, then pattern pred (the slots are
+  // in PredId order).
+  std::vector<std::pair<tree::NodeId, int32_t>> pending;
+  for (size_t slot = 0; slot < pattern_preds_.size(); ++slot) {
+    const PatternPred& pp = pattern_preds_[slot];
+    for (const tree::NodeId node : live.Members(pp.pred)) {
+      if (!pp.emitted.Contains(node)) {
+        pending.emplace_back(node, static_cast<int32_t>(slot));
+      }
+    }
   }
-  // Deterministic emission order regardless of hash-map iteration: by node,
-  // then pattern pred.
-  std::sort(keys.begin(), keys.end(), [](uint64_t a, uint64_t b) {
-    const uint32_t na = static_cast<uint32_t>(a), nb = static_cast<uint32_t>(b);
-    return na != nb ? na < nb : a < b;
-  });
-  for (const uint64_t key : keys) {
-    MaybeEmit(static_cast<core::PredId>(key >> 32),
-              static_cast<tree::NodeId>(static_cast<uint32_t>(key)));
-  }
-}
-
-void StreamSession::AssertLabel(IncrementalTmnfEval* ev,
-                                const std::string& label, tree::NodeId n) {
-  const auto it = label_preds_.find(label);
-  if (it != label_preds_.end()) ev->AddUnaryFact(it->second, n);
-}
-
-void StreamSession::AssertChildK(IncrementalTmnfEval* ev, int32_t k,
-                                 tree::NodeId parent, tree::NodeId child) {
-  for (const auto& [childk, pred] : childk_preds_) {
-    if (childk == k) ev->AddBinaryFact(pred, parent, child);
-  }
+  std::sort(pending.begin(), pending.end());
+  for (const auto& [node, slot] : pending) MaybeEmit(slot, node);
 }
 
 void StreamSession::EmitResult(int32_t pattern_index, tree::NodeId node) {
@@ -377,19 +277,17 @@ util::Result<std::string> StreamSession::FinishImpl() {
   stripped_ = tree_.strips_root();
 
   IncrementalTmnfEval* winner = nullptr;
-  if (incremental_) {
+  if (rules_ != nullptr) {
     MD_DCHECK(stripped_ == !settled_);
     if (stripped_) {
       // Exactly one top-level node: the stripped hypothesis held. Its
-      // evaluator has been complete since the last fact (root(1) was
-      // asserted when node 1 was created).
+      // evaluator has been complete since the last event (node 0, which
+      // only now closes, is outside its world).
       eval_kept_.reset();
       winner = eval_stripped_.get();
     } else {
       winner = eval_kept_.get();
-      const tree::NodeId lc = tree_.builder().last_child(0);
-      AssertUnary(winner, SchemaPred::kLastSibling, lc);
-      AssertBinary(winner, SchemaPred::kLastChild, 0, lc);
+      winner->NodeClosed(0);
     }
     closed_[0] = true;  // patterns may select the kept "#document" root
     {
@@ -409,7 +307,7 @@ util::Result<std::string> StreamSession::FinishImpl() {
 
   elog::ElogResult matches;
   const auto& patterns = program_->prepared.extraction_patterns;
-  if (incremental_) {
+  if (rules_ != nullptr) {
     // Stripping the root renumbers node m to m - 1 (CopySubtree over the id
     // range of node 1; see tree.h).
     const int32_t shift = stripped_ ? 1 : 0;

@@ -1,15 +1,11 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "src/core/tree_schema.h"
 #include "src/html/parser.h"
 #include "src/html/tokenizer.h"
 #include "src/runtime/runtime.h"
@@ -22,36 +18,37 @@
 /// \file stream_session.h
 /// Streaming incremental extraction: one wrap request whose page arrives in
 /// chunks. Feed() pushes bytes through the incremental tokenizer, grows the
-/// document tree with the batch parsers' html::TreeConstructor, asserts EDB
-/// facts from its node events the moment they become finally true, and
-/// runs semi-naive delta rounds over the compiled TMNF program — extraction
-/// results are emitted via StreamOptions::on_result as soon as they are both
-/// derived and final, typically long before end of input. Finish() settles
-/// the root, runs the last delta round and returns the output XML, byte-
-/// identical to what batch WrapperRuntime::Wrap produces on the concatenated
-/// bytes — for every input under every chunking (the invariant the
-/// differential harness in tests/stream_test.cc pins).
+/// document tree with the batch parsers' html::TreeConstructor, forwards its
+/// node-created / node-closed events to the incremental TMNF evaluators, and
+/// runs their semi-naive delta rounds — extraction results are emitted via
+/// StreamOptions::on_result as soon as they are both derived and final,
+/// typically long before end of input. Finish() settles the root, runs the
+/// last delta round and returns the output XML, byte-identical to what batch
+/// WrapperRuntime::Wrap produces on the concatenated bytes — for every input
+/// under every chunking (the invariant the differential harness in
+/// tests/stream_test.cc pins).
 ///
-/// Fact finality is the load-bearing idea: label and structure links are
-/// asserted at node creation, leaf/lastsibling/lastchild when the element
-/// closes. The EDB is therefore insert-only, datalog is monotone, and every
-/// pre-EOF derivation is sound — see incremental_eval.h.
+/// Fact finality is the load-bearing idea: an evaluator asserts a node's
+/// label when it is created and leaf/lastsibling when its element closes,
+/// and reads the axes from the tree, whose links never change once made.
+/// The EDB is therefore insert-only, datalog is monotone, and every pre-EOF
+/// derivation is sound — see incremental_eval.h.
 ///
 /// The one fact that is NOT known before end of input is the root: the tree
 /// constructor strips the synthetic "#document" node when it ends up with
 /// exactly one top-level child, so `root` is node 1 (internal) for ordinary
 /// single-rooted HTML and node 0 for multi-rooted fragments — and almost
 /// every derivation chain starts at `root`. Waiting for EOF would kill
-/// streaming. Instead the session runs the SAME insert-only evaluator under
-/// BOTH hypotheses: one asserts root(1) and no node-0 fact at all (the
-/// stripped world, where the asserted structure is the batch EDB shifted up
-/// by one and constant-free rules carry derivations across the isomorphism),
-/// the other asserts root(0), label_#document(0) and the node-0 links
-/// incrementally (the kept world). A result emits before EOF only when it is
-/// derived under BOTH hypotheses and its subtree is closed — sound whichever
-/// way the input ends. The hypothesis resolves the moment a second top-level
-/// node arrives (kept) or at Finish (stripped); the loser is discarded and
-/// the winner's remaining closed derivations flush.
+/// streaming. Instead the session runs the SAME insert-only evaluator, over
+/// one shared rule index and the one growing tree, in BOTH root worlds: the
+/// stripped world is rooted at node 1 and never sees node 0 (its structure is
+/// the batch EDB shifted up by one, and constant-free rules carry derivations
+/// across the isomorphism), the kept world is rooted at node 0, labelled
+/// "#document". A result emits before EOF only when it is derived in BOTH
+/// worlds and its subtree is closed — sound whichever way the input ends.
+/// The hypothesis resolves the moment a second top-level node arrives (kept)
+/// or at Finish (stripped); the loser is discarded and the winner's
+/// remaining closed derivations flush.
 ///
 /// Programs outside the datalog pipeline (Elog⁻Δ builtins) degrade
 /// gracefully: the session still parses incrementally but evaluates natively
@@ -98,7 +95,7 @@ class StreamSession : private html::TreeConstructor::Observer {
   /// True when the program compiled for incremental evaluation (results can
   /// emit before Finish); false = parse-only streaming with batch evaluation
   /// at Finish.
-  bool streaming() const { return incremental_; }
+  bool streaming() const { return rules_ != nullptr; }
   /// Whether the synthetic "#document" root was stripped from the output
   /// tree (final ids = internal ids - 1). Meaningful once the second
   /// top-level node arrives (false from then on) or after Finish.
@@ -112,8 +109,9 @@ class StreamSession : private html::TreeConstructor::Observer {
   /// the part of the tree whose EDB facts are still pending — for
   /// well-formed input this tracks nesting depth, not page length.
   int64_t peak_live_nodes() const { return peak_live_nodes_; }
-  /// Peak ApproxBytes across the session's incremental evaluators (both
-  /// hypothesis worlds while both are live). 0 for non-incremental sessions.
+  /// Peak heap footprint of the session's incremental evaluation: both
+  /// hypothesis worlds while both are live and the emission sets — the tree
+  /// excluded. 0 for non-incremental sessions.
   int64_t peak_edb_bytes() const { return peak_edb_bytes_; }
 
  private:
@@ -137,7 +135,7 @@ class StreamSession : private html::TreeConstructor::Observer {
   }
   void UpdateEdbPeak();
 
-  /// Tree events: assert the facts that just became final.
+  /// Tree events, forwarded to the live evaluators.
   void NodeCreated(tree::NodeId n, tree::NodeId parent, int32_t k,
                    const html::Token& token) override;
   void NodeClosed(tree::NodeId n) override;
@@ -145,12 +143,12 @@ class StreamSession : private html::TreeConstructor::Observer {
   /// stripped-hypothesis evaluator and flushes everything the kept world has
   /// already derived on closed subtrees.
   void ResolveKept();
-  /// Emits (pattern pred, node) if it is derivation-eligible under the
-  /// current hypothesis state, its subtree is closed, and it has not emitted
-  /// yet.
-  void MaybeEmit(core::PredId pred, tree::NodeId node);
-  /// Re-examines every recorded derivation — called when the hypothesis
-  /// resolves and the emission criterion relaxes.
+  /// Emits (pattern pred, node) if every live evaluator holds it, its
+  /// subtree is closed, and it has not emitted yet. `slot` indexes
+  /// pattern_preds_.
+  void MaybeEmit(int32_t slot, tree::NodeId node);
+  /// Re-examines every derivation of the one live evaluator — called when
+  /// the hypothesis resolves and the emission criterion relaxes.
   void FlushEligible();
   void EmitResult(int32_t pattern_index, tree::NodeId node);
   util::Status PropagateAll();
@@ -158,20 +156,6 @@ class StreamSession : private html::TreeConstructor::Observer {
   const util::EvalControl* control() const {
     return control_.unbounded() ? nullptr : &control_;
   }
-  void AssertUnary(IncrementalTmnfEval* ev, core::SchemaPred kind,
-                   tree::NodeId n) const {
-    const core::PredId pred = edb_preds_[static_cast<int>(kind)];
-    if (pred >= 0) ev->AddUnaryFact(pred, n);
-  }
-  void AssertBinary(IncrementalTmnfEval* ev, core::SchemaPred kind,
-                    tree::NodeId a, tree::NodeId b) const {
-    const core::PredId pred = edb_preds_[static_cast<int>(kind)];
-    if (pred >= 0) ev->AddBinaryFact(pred, a, b);
-  }
-  void AssertLabel(IncrementalTmnfEval* ev, const std::string& label,
-                   tree::NodeId n);
-  void AssertChildK(IncrementalTmnfEval* ev, int32_t k, tree::NodeId parent,
-                    tree::NodeId child);
 
   const std::shared_ptr<const runtime::CompiledWrapperProgram> program_;
   const StreamOptions options_;
@@ -182,22 +166,20 @@ class StreamSession : private html::TreeConstructor::Observer {
   html::TreeConstructor tree_;  // reports to this session's Node* events
   std::vector<bool> closed_;    // per node: subtree complete
 
-  /// The two hypothesis worlds, both engaged when the program's TMNF
-  /// compiled for incremental evaluation; the loser is reset at resolution.
+  /// One predicate that extraction patterns select, in PredId order.
+  struct PatternPred {
+    core::PredId pred;
+    std::vector<int32_t> patterns;  // indices into extraction_patterns
+    GrowingNodeSet emitted;
+  };
+  std::vector<PatternPred> pattern_preds_;  // the evaluators' watch list
+  /// The program's rule index, null when it is outside the TMNF fragment
+  /// (batch evaluation at Finish). Both worlds evaluate it.
+  std::unique_ptr<const IncrementalTmnfEval::Rules> rules_;
+  /// The two hypothesis worlds, both engaged when rules_ is; the loser is
+  /// reset at resolution.
   std::unique_ptr<IncrementalTmnfEval> eval_stripped_;
   std::unique_ptr<IncrementalTmnfEval> eval_kept_;
-  bool incremental_ = false;
-  // EDB predicate ids in program_->tmnf, classified once by schema kind
-  // (-1 = the program never reads it); label_<l> by label, child<k> by k.
-  std::array<core::PredId, core::kNumSchemaPreds> edb_preds_;
-  std::unordered_map<std::string, core::PredId> label_preds_;
-  std::vector<std::pair<int32_t, core::PredId>> childk_preds_;
-  /// pattern pred → indices into prepared.extraction_patterns.
-  std::unordered_map<core::PredId, std::vector<int32_t>> pred_patterns_;
-  std::vector<core::PredId> pattern_pred_list_;
-  /// Per (pattern pred, node): bit 0 = derived in the stripped world, bit 1
-  /// = derived in the kept world, bit 2 = already emitted.
-  std::unordered_map<uint64_t, uint8_t> derived_;
 
   bool settled_ = false;   // true once a second top-level node exists (kept)
   bool stripped_ = false;  // the root-strip verdict, decided at Finish
@@ -205,9 +187,9 @@ class StreamSession : private html::TreeConstructor::Observer {
   bool terminal_ = false;  // on_finish fired
   util::Status status_;    // first error, latched
 
-  telemetry::Telemetry* const telemetry_;            // may be null
-  telemetry::TraceContext* const external_trace_;    // caller-owned, may be null
-  std::unique_ptr<telemetry::TraceContext> trace_;   // owned, may be null
+  telemetry::Telemetry* const telemetry_;           // may be null
+  telemetry::TraceContext* const external_trace_;   // caller-owned, may be null
+  std::unique_ptr<telemetry::TraceContext> trace_;  // owned, may be null
   int64_t bytes_fed_ = 0;
   int64_t live_nodes_ = 0;
   int64_t peak_live_nodes_ = 0;

@@ -111,10 +111,7 @@ int32_t Tree::NumChildren(NodeId n) const {
 }
 
 NodeId Tree::ChildK(NodeId n, int32_t k) const {
-  MD_DCHECK(k >= 1);
-  NodeId c = first_child(n);
-  for (int32_t i = 1; i < k && c != kNoNode; ++i) c = next_sibling(c);
-  return c;
+  return tree::ChildK(*this, n, k);
 }
 
 int32_t Tree::Depth(NodeId n) const {

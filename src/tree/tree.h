@@ -273,6 +273,16 @@ NodeId LastDescendant(const TreeLike& t, NodeId n) {
   return n;
 }
 
+/// The k-th child of n (1-based, as in the paper's child_k), or kNoNode, on a
+/// Tree or a TreeBuilder. O(k).
+template <typename TreeLike>
+NodeId ChildK(const TreeLike& t, NodeId n, int32_t k) {
+  MD_DCHECK(k >= 1);
+  NodeId c = t.first_child(n);
+  for (int32_t i = 1; i < k && c != kNoNode; ++i) c = t.next_sibling(c);
+  return c;
+}
+
 /// A deep copy of the subtree of `t` rooted at `n`, as its own tree (labels
 /// and texts included; the new root is node 0). The subtree is the id range
 /// [n, LastDescendant(t, n)], so source node m becomes node m - n and

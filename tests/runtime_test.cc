@@ -651,21 +651,18 @@ TEST(WrapperRuntimeTest, EquivalentWrapperRevisionsShareMemoizedResults) {
   EXPECT_EQ(stats.memo_hits, 1);      // the revision was served from memo
   EXPECT_EQ(stats.pages_wrapped, 1);  // never re-evaluated
 
-  // A/B control: with canonical keys off, the revision compiles and
-  // evaluates separately (the pre-canonicalization behavior).
-  runtime::RuntimeOptions opts;
-  opts.canonical_program_keys = false;
-  runtime::WrapperRuntime rt_ab(opts);
-  auto g1 = rt_ab.Register(CatalogWrapper(), "class");
-  auto g2 = rt_ab.Register(ReformulatedCatalogWrapper(), "class");
+  // Control: keyed on the wrapper text alone, the revision compiles
+  // separately and carries its own memo key (the memo keys on
+  // canonical_fingerprint), so it would evaluate again.
+  runtime::ProgramCache syntactic(8, /*canonical_keys=*/false);
+  auto g1 = syntactic.GetOrCompile(CatalogWrapper());
+  auto g2 = syntactic.GetOrCompile(ReformulatedCatalogWrapper());
   ASSERT_TRUE(g1.ok());
   ASSERT_TRUE(g2.ok());
-  ASSERT_TRUE(rt_ab.Wrap(*g1, page).ok());
-  ASSERT_TRUE(rt_ab.Wrap(*g2, page).ok());
-  auto ab = rt_ab.stats();
-  EXPECT_EQ(ab.program_cache.canonical_key_hits, 0);
-  EXPECT_EQ(ab.memo_hits, 0);
-  EXPECT_EQ(ab.pages_wrapped, 2);
+  EXPECT_NE(g1->get(), g2->get());
+  EXPECT_NE((*g1)->canonical_fingerprint, (*g2)->canonical_fingerprint);
+  EXPECT_EQ(syntactic.stats().canonical_key_hits, 0);
+  EXPECT_EQ(syntactic.stats().misses, 2);
 }
 
 // ---------------------------------------------------------------------------

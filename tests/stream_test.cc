@@ -20,13 +20,17 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/grounder.h"
+#include "src/core/parser.h"
 #include "src/elog/ast.h"
 #include "src/elog/eval.h"
 #include "src/html/parser.h"
 #include "src/html/synthetic.h"
 #include "src/html/tokenizer.h"
 #include "src/runtime/runtime.h"
+#include "src/stream/incremental_eval.h"
 #include "src/stream/stream_session.h"
+#include "src/tree/generator.h"
 #include "src/tree/serialize.h"
 #include "src/tree/tree.h"
 #include "src/util/deadline.h"
@@ -84,6 +88,25 @@ wrapper::Wrapper GenericWrapper() {
   wrapper::Wrapper w;
   w.program = *program;
   w.extraction_patterns = {"adiv", "litem", "lastleaf"};
+  return w;
+}
+
+/// Sibling and descendant conditions (firstsibling, nextsibling, contains)
+/// and a pattern whose answer differs between the two root worlds: top is
+/// node 1 while the synthetic root may be stripped, node 0 once it is kept.
+wrapper::Wrapper ConditionWrapper() {
+  auto program = elog::ParseElog(R"(
+    anynode(X) <- root(X).
+    anynode(X) <- anynode(P), subelem(P, "_", X).
+    first(X) <- anynode(X), firstsibling(X).
+    follower(X) <- anynode(X), nextsibling(Y, X), first(Y).
+    haslist(X) <- anynode(X), contains(X, "_.li", Y).
+    top(X) <- root(X).
+  )");
+  EXPECT_TRUE(program.ok());
+  wrapper::Wrapper w;
+  w.program = *program;
+  w.extraction_patterns = {"first", "follower", "haslist", "top"};
   return w;
 }
 
@@ -251,6 +274,9 @@ void CheckOneChunking(runtime::WrapperRuntime& rt,
   };
   auto session = rt.SubmitStream({.wrapper = handle}, std::move(options));
   ASSERT_TRUE(session.ok()) << context;
+  // Every differential wrapper is Elog⁻: it must evaluate incrementally,
+  // not pass through the batch fallback.
+  EXPECT_TRUE((*session)->streaming()) << context;
   for (const std::string& chunk : chunks) {
     ASSERT_TRUE((*session)->Feed(chunk).ok()) << context;
   }
@@ -327,7 +353,10 @@ std::vector<DifferentialCase> DifferentialCases() {
   for (const std::string& page : NastyPages()) {
     cases.push_back({GenericWrapper(), "", page});
     cases.push_back({GenericWrapper(), "class", page});
+    cases.push_back({ConditionWrapper(), "", page});
   }
+  cases.push_back({ConditionWrapper(), "class", CatalogPage(11, 12)});
+  cases.push_back({ConditionWrapper(), "class", CatalogPage(12, 3)});
   return cases;
 }
 
@@ -354,6 +383,92 @@ TEST(StreamDifferentialTest, StreamingIsByteIdenticalToBatchEverywhere) {
     for (size_t ki = 0; ki < chunkings.size(); ++ki) {
       CheckOneChunking(rt, *handle, chunkings[ki], *batch_xml, extents,
                        context + " chunking " + std::to_string(ki));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The evaluator alone: both root worlds against a batch engine
+// ---------------------------------------------------------------------------
+
+TEST(IncrementalTmnfEvalTest, BothRootWorldsMatchBatchOnRandomTrees) {
+  // Every TMNF rule shape and unary EDB kind, with upward recursion (up
+  // climbs backward axes) that would reach the synthetic root if the
+  // stripped world gave its root an in-edge.
+  auto program = core::ParseProgram(R"(
+    la(X) :- label_a(X).
+    up(X) :- la(X), leaf(X).
+    up(X) :- up(Y), firstchild(X, Y).
+    up(X) :- up(Y), nextsibling(X, Y).
+    down(X) :- root(X).
+    down(X) :- down(Y), firstchild(Y, X).
+    down(X) :- down(Y), nextsibling(Y, X).
+    both(X) :- up(X), down(X).
+    ll(X) :- lastsibling(X), up(X).
+  )");
+  ASSERT_TRUE(program.ok());
+  const std::vector<std::string> preds = {"la", "up", "down", "both", "ll"};
+  auto rules = stream::IncrementalTmnfEval::Rules::Compile(*program, {});
+  ASSERT_NE(rules, nullptr);
+
+  util::Rng rng(606);
+  for (int trial = 0; trial < 40; ++trial) {
+    const tree::Tree t =
+        tree::RandomTree(rng, 1 + static_cast<int32_t>(rng.Below(30)),
+                         {"a", "b"}, /*depth_bias=*/trial % 2 == 0);
+    // The stream's tree: the synthetic root, then t shifted up by one.
+    tree::TreeBuilder builder;
+    builder.Root("#document");
+    stream::IncrementalTmnfEval stripped(*rules, builder, 1, {});
+    stream::IncrementalTmnfEval kept(*rules, builder, 0, {});
+    kept.NodeCreated(0);
+    std::vector<tree::NodeId> open = {0};
+    auto close_until = [&](tree::NodeId parent) {
+      while (open.back() != parent) {
+        stripped.NodeClosed(open.back());
+        kept.NodeClosed(open.back());
+        open.pop_back();
+      }
+    };
+    for (tree::NodeId m = 0; m < t.size(); ++m) {
+      const tree::NodeId parent = m == 0 ? 0 : t.parent(m) + 1;
+      close_until(parent);
+      const tree::NodeId n = builder.Child(parent, t.label_name(m));
+      stripped.NodeCreated(n);
+      kept.NodeCreated(n);
+      open.push_back(n);
+      // Propagate at random points: joins must not depend on whether a
+      // fact or the edge it joins with arrives first.
+      if (rng.Below(3) == 0) {
+        ASSERT_TRUE(stripped.Propagate(nullptr).ok());
+        ASSERT_TRUE(kept.Propagate(nullptr).ok());
+      }
+    }
+    close_until(0);
+    kept.NodeClosed(0);
+    ASSERT_TRUE(stripped.Propagate(nullptr).ok());
+    ASSERT_TRUE(kept.Propagate(nullptr).ok());
+
+    std::vector<std::vector<tree::NodeId>> got_stripped, got_kept;
+    for (const std::string& name : preds) {
+      got_stripped.push_back(stripped.Members(program->preds().Find(name)));
+      got_kept.push_back(kept.Members(program->preds().Find(name)));
+    }
+    const tree::Tree full = builder.Build();
+    auto want_stripped =
+        core::EvaluateOnTree(*program, t, core::Engine::kSemiNaive);
+    auto want_kept =
+        core::EvaluateOnTree(*program, full, core::Engine::kSemiNaive);
+    ASSERT_TRUE(want_stripped.ok());
+    ASSERT_TRUE(want_kept.ok());
+    for (size_t i = 0; i < preds.size(); ++i) {
+      const core::PredId p = program->preds().Find(preds[i]);
+      std::vector<tree::NodeId> shifted = want_stripped->Unary(p);
+      for (tree::NodeId& n : shifted) ++n;
+      EXPECT_EQ(got_stripped[i], shifted)
+          << preds[i] << " on " << tree::ToDebugString(t);
+      EXPECT_EQ(got_kept[i], want_kept->Unary(p))
+          << preds[i] << " on " << tree::ToDebugString(full);
     }
   }
 }
@@ -518,6 +633,23 @@ TEST(StreamSessionTest, PeakMemoryObservability) {
   const std::string prom = rt.ExportPrometheus();
   EXPECT_NE(prom.find("mdatalog_stream_peak_live_nodes"), std::string::npos);
   EXPECT_NE(prom.find("mdatalog_stream_peak_edb_bytes"), std::string::npos);
+
+  // The evaluation state is a few bits per node and predicate in each root
+  // world, whatever the chunking: no per-node adjacency.
+  const std::string large = CatalogPage(33, 3000);
+  auto tree = html::ParseTree(large, "class");
+  ASSERT_TRUE(tree.ok());
+  for (const size_t chunk : {size_t{97}, size_t{4096}, large.size()}) {
+    auto big = rt.SubmitStream({.wrapper = *handle}, {});
+    ASSERT_TRUE(big.ok());
+    for (const std::string& piece : FixedChunks(large, chunk)) {
+      ASSERT_TRUE((*big)->Feed(piece).ok());
+    }
+    ASSERT_TRUE((*big)->Finish().ok());
+    EXPECT_LE((*big)->peak_edb_bytes() / tree->size(), 64)
+        << "chunk " << chunk << ": " << (*big)->peak_edb_bytes() << " bytes, "
+        << tree->size() << " nodes";
+  }
 }
 
 TEST(StreamSessionTest, DeltaProgramFallsBackButStillStreamsTheParse) {
