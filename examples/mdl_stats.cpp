@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
 
   std::printf("corpus: %d requests over %d distinct pages\n", requests,
               distinct);
-  std::printf("pages wrapped: %lld (%lld grounded, %lld native)\n",
+  std::printf("pages wrapped: %lld (%lld tmnf, %lld native)\n",
               static_cast<long long>(stats.pages_wrapped),
               static_cast<long long>(stats.grounded_evals),
               static_cast<long long>(stats.native_evals));

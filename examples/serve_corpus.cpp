@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(stats.memo_hits),
               static_cast<long long>(stats.memo_misses),
               static_cast<long long>(stats.memo_bytes));
-  std::printf("evaluations:    %lld grounded, %lld native\n",
+  std::printf("evaluations:    %lld tmnf, %lld native\n",
               static_cast<long long>(stats.grounded_evals),
               static_cast<long long>(stats.native_evals));
   return 0;

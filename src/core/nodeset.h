@@ -9,7 +9,8 @@
 #include "src/util/check.h"
 
 /// \file nodeset.h
-/// Dense bitset over the evaluation domain {0..domain_size-1}.
+/// Dense bitsets over the evaluation domain: NodeSet over a fixed
+/// {0..domain_size-1}, GrowingNodeSet over a domain that grows.
 ///
 /// Monadic datalog's intensional predicates are node *sets* (arity ≤ 1), so
 /// the engine stores every unary IDB relation and semi-naive delta as a
@@ -121,6 +122,47 @@ class NodeSet {
  private:
   int32_t domain_size_ = 0;
   int64_t count_ = 0;
+  std::vector<uint64_t> words_;
+};
+
+/// A node set whose domain grows with its largest member: one bit per node,
+/// for a tree that is still growing (the stream) or whose size the set need
+/// not know up front. Clear keeps the word buffer, so a set reused across
+/// trees stops allocating once it has seen the largest one.
+class GrowingNodeSet {
+ public:
+  bool Contains(int32_t n) const {
+    const size_t w = static_cast<size_t>(n) >> 6;
+    return w < words_.size() && (words_[w] >> (n & 63)) & 1;
+  }
+  /// Inserts `n` (>= 0). Returns true iff newly inserted.
+  bool Insert(int32_t n) {
+    MD_DCHECK(n >= 0);
+    const size_t w = static_cast<size_t>(n) >> 6;
+    if (w >= words_.size()) words_.resize(w + 1, 0);
+    const uint64_t mask = uint64_t{1} << (n & 63);
+    if (words_[w] & mask) return false;
+    words_[w] |= mask;
+    return true;
+  }
+  /// Removes all members. O(1): the words are zeroed again as they are
+  /// regrown.
+  void Clear() { words_.clear(); }
+  /// Members, ascending.
+  std::vector<int32_t> ToVector() const {
+    std::vector<int32_t> out;
+    for (size_t w = 0; w < words_.size(); ++w) {
+      for (uint64_t word = words_[w]; word != 0; word &= word - 1) {
+        out.push_back(static_cast<int32_t>(w * 64) + util::Ctz64(word));
+      }
+    }
+    return out;
+  }
+  int64_t ApproxBytes() const {
+    return static_cast<int64_t>(words_.capacity() * sizeof(uint64_t));
+  }
+
+ private:
   std::vector<uint64_t> words_;
 };
 

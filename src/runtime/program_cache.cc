@@ -32,12 +32,21 @@ void TryCompileGroundPlan(CompiledWrapperProgram* out) {
   if (!tmnf.ok()) return;
   auto plan = core::GroundPlan::Compile(*tmnf);
   if (!plan.ok()) return;
+  std::vector<core::PredId> pattern_preds;
+  for (const std::string& pattern : out->prepared.extraction_patterns) {
+    pattern_preds.push_back(tmnf->preds().Find("pat_" + pattern));
+  }
+  std::vector<core::PredId> watched;
+  for (const core::PredId p : pattern_preds) {
+    if (p >= 0) watched.push_back(p);
+  }
+  std::sort(watched.begin(), watched.end());
+  watched.erase(std::unique(watched.begin(), watched.end()), watched.end());
+  out->tmnf_rules = core::TmnfRules::Compile(*tmnf, std::move(watched));
+  if (out->tmnf_rules == nullptr) return;
   out->tmnf = std::move(*tmnf);
   out->ground_plan = std::move(*plan);
-  out->pattern_preds.reserve(out->prepared.extraction_patterns.size());
-  for (const std::string& pattern : out->prepared.extraction_patterns) {
-    out->pattern_preds.push_back(out->tmnf.preds().Find("pat_" + pattern));
-  }
+  out->pattern_preds = std::move(pattern_preds);
   out->has_ground_plan = true;
 }
 

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "src/core/eval.h"
+#include "src/core/tmnf_eval.h"
 #include "src/elog/eval.h"
 #include "src/stream/stream_session.h"
 #include "src/telemetry/export.h"
@@ -168,28 +168,19 @@ util::Result<std::string> WrapperRuntime::Evaluate(
   telemetry::TraceContext* trace = telemetry::CurrentTrace();
   elog::ElogResult matches;
   if (program.has_ground_plan) {
-    core::EvalResult eval;
+    // One evaluator per worker thread: its node sets and queue are cleared,
+    // not freed, between the documents this thread serves.
+    thread_local core::TmnfEval<tree::Tree> eval;
     {
-      telemetry::TraceSpan span(trace, "eval.grounded");
-      // One arena per worker thread: all clause-arena and solver allocations
-      // amortize across the documents this thread serves.
-      thread_local core::GroundArena arena;
-      core::GroundStats gstats;
-      MD_ASSIGN_OR_RETURN(
-          eval, core::EvaluateGrounded(*program.ground_plan, doc.tree(),
-                                       &arena, span ? &gstats : nullptr,
-                                       control));
-      if (span) {
-        span.Value("clauses", gstats.num_clauses);
-        span.Value("rounds", eval.num_iterations());
-        span.Value("derived", eval.num_derived());
-      }
+      telemetry::TraceSpan span(trace, "eval.tmnf");
+      MD_RETURN_NOT_OK(eval.Evaluate(*program.tmnf_rules, doc.tree(), control));
+      if (span) span.Value("derived", eval.num_derived());
     }
     const auto& patterns = program.prepared.extraction_patterns;
     for (size_t i = 0; i < patterns.size(); ++i) {
       core::PredId pred = program.pattern_preds[i];
       if (pred < 0) continue;  // never derivable: empty extent
-      matches.matches[patterns[i]] = eval.Unary(pred);
+      matches.matches[patterns[i]] = eval.Members(pred);
     }
   } else {
     telemetry::TraceSpan span(trace, "eval.native");

@@ -51,7 +51,8 @@
 /// synchronously with Wrap(Request).
 ///
 /// The engine is a property of the program, not an option: wrappers whose
-/// Corollary 6.4 pipeline compiled (Elog⁻) replay their GroundPlan, and
+/// Corollary 6.4 pipeline compiled (Elog⁻) run their TMNF program on
+/// core::TmnfEval (batch or streamed), and
 /// Elog⁻Δ wrappers, which have no datalog counterpart (Theorem 6.6), run on
 /// the native Elog evaluator.
 
@@ -181,7 +182,7 @@ struct RuntimeStats {
   int64_t memo_fair_share_rejects = 0;
   int64_t memo_bytes = 0;
   int64_t pages_wrapped = 0;       // full evaluations (memo hits excluded)
-  int64_t grounded_evals = 0;      // GroundPlan replays (Elog⁻ wrappers)
+  int64_t grounded_evals = 0;      // compiled-TMNF evaluations (Elog⁻)
   int64_t native_evals = 0;        // native Elog runs (Elog⁻Δ wrappers)
   int64_t deadline_exceeded = 0;   // requests unwound by their deadline
   int64_t cancelled = 0;           // requests unwound by their cancel token
@@ -311,8 +312,8 @@ class WrapperRuntime {
                                      telemetry::TraceContext* trace,
                                      TenantId tenant);
 
-  /// The uncached evaluation core over a prepared document: GroundPlan
-  /// replay when the program has one, native Elog otherwise, then output
+  /// The uncached evaluation core over a prepared document: the TMNF
+  /// worklist when the program compiled, native Elog otherwise, then output
   /// construction. `control` may be null.
   util::Result<std::string> Evaluate(const CompiledWrapperProgram& program,
                                      const CachedDocument& doc,

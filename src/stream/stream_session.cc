@@ -31,24 +31,18 @@ StreamSession::StreamSession(
     trace_ = telemetry_->StartTrace("stream");
   }
   closed_.push_back(false);  // the synthetic root (node 0)
-  if (!program_->has_ground_plan) return;
-  // Group the extraction patterns by their predicate, in PredId order.
-  std::vector<std::pair<core::PredId, int32_t>> by_pred;
+  rules_ = program_->tmnf_rules.get();
+  if (rules_ == nullptr) return;
+  for (const core::PredId pred : rules_->watched()) {
+    pattern_preds_.push_back({pred, {}, {}});
+  }
   for (size_t i = 0; i < program_->pattern_preds.size(); ++i) {
     const core::PredId p = program_->pattern_preds[i];
-    if (p >= 0) by_pred.emplace_back(p, static_cast<int32_t>(i));
-  }
-  std::sort(by_pred.begin(), by_pred.end());
-  std::vector<core::PredId> watched;
-  for (const auto& [pred, pattern] : by_pred) {
-    if (watched.empty() || watched.back() != pred) {
-      watched.push_back(pred);
-      pattern_preds_.push_back({pred, {}, {}});
+    if (p >= 0) {
+      pattern_preds_[rules_->watch(p)].patterns.push_back(
+          static_cast<int32_t>(i));
     }
-    pattern_preds_.back().patterns.push_back(pattern);
   }
-  rules_ = IncrementalTmnfEval::Rules::Compile(program_->tmnf, watched);
-  if (rules_ == nullptr) return;
   const auto emit = [this](int32_t slot, tree::NodeId node) {
     MaybeEmit(slot, node);
   };
@@ -56,9 +50,8 @@ StreamSession::StreamSession(
   // the output tree is settled at end of input. The stripped world is rooted
   // at node 1 and never hears of node 0; the kept world is rooted at it.
   eval_stripped_ =
-      std::make_unique<IncrementalTmnfEval>(*rules_, tree_.builder(), 1, emit);
-  eval_kept_ =
-      std::make_unique<IncrementalTmnfEval>(*rules_, tree_.builder(), 0, emit);
+      std::make_unique<WorldEval>(*rules_, tree_.builder(), 1, emit);
+  eval_kept_ = std::make_unique<WorldEval>(*rules_, tree_.builder(), 0, emit);
   eval_kept_->NodeCreated(0);
 }
 
@@ -94,16 +87,16 @@ util::Status StreamSession::PropagateAll() {
   telemetry::TraceSpan span(cur_trace(), "stream.propagate");
   int64_t facts_before = 0;
   if (span) {
-    for (IncrementalTmnfEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
+    for (WorldEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
       if (ev != nullptr) facts_before += ev->num_facts();
     }
   }
-  for (IncrementalTmnfEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
+  for (WorldEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
     if (ev != nullptr) MD_RETURN_NOT_OK(ev->Propagate(control()));
   }
   if (span) {
     int64_t facts_after = 0;
-    for (IncrementalTmnfEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
+    for (WorldEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
       if (ev != nullptr) facts_after += ev->num_facts();
     }
     span.Value("delta", facts_after - facts_before);
@@ -113,7 +106,7 @@ util::Status StreamSession::PropagateAll() {
 
 void StreamSession::UpdateEdbPeak() {
   int64_t bytes = 0;
-  for (IncrementalTmnfEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
+  for (WorldEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
     if (ev != nullptr) bytes += ev->ApproxBytes();
   }
   for (const PatternPred& pp : pattern_preds_) {
@@ -182,7 +175,7 @@ void StreamSession::NodeCreated(tree::NodeId n, tree::NodeId parent,
   // A second top-level node refutes the stripped hypothesis before the
   // stripped world could hear of it.
   if (parent == 0 && k == 2 && !settled_) ResolveKept();
-  for (IncrementalTmnfEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
+  for (WorldEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
     if (ev != nullptr) ev->NodeCreated(n);
   }
 }
@@ -191,7 +184,7 @@ void StreamSession::NodeClosed(tree::NodeId n) {
   closed_[n] = true;
   --live_nodes_;
   if (rules_ == nullptr) return;
-  for (IncrementalTmnfEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
+  for (WorldEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
     if (ev != nullptr) ev->NodeClosed(n);
   }
   // Anything already derived for this node was held back by the closed_
@@ -215,7 +208,7 @@ void StreamSession::MaybeEmit(int32_t slot, tree::NodeId node) {
   if (!closed_[node] || pp.emitted.Contains(node)) return;
   // Pre-resolution, a result must hold under both hypotheses to be sound;
   // afterwards the winner alone decides.
-  for (IncrementalTmnfEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
+  for (WorldEval* ev : {eval_stripped_.get(), eval_kept_.get()}) {
     if (ev != nullptr && !ev->Contains(pp.pred, node)) return;
   }
   pp.emitted.Insert(node);
@@ -224,7 +217,7 @@ void StreamSession::MaybeEmit(int32_t slot, tree::NodeId node) {
 
 void StreamSession::FlushEligible() {
   MD_DCHECK((eval_stripped_ == nullptr) != (eval_kept_ == nullptr));
-  const IncrementalTmnfEval& live =
+  const WorldEval& live =
       eval_kept_ != nullptr ? *eval_kept_ : *eval_stripped_;
   // Deterministic emission order: by node, then pattern pred (the slots are
   // in PredId order).
@@ -276,7 +269,7 @@ util::Result<std::string> StreamSession::FinishImpl() {
   if (!s.ok()) return Terminal(std::move(s));
   stripped_ = tree_.strips_root();
 
-  IncrementalTmnfEval* winner = nullptr;
+  WorldEval* winner = nullptr;
   if (rules_ != nullptr) {
     MD_DCHECK(stripped_ == !settled_);
     if (stripped_) {

@@ -6,10 +6,11 @@
 #include <string_view>
 #include <vector>
 
+#include "src/core/nodeset.h"
+#include "src/core/tmnf_eval.h"
 #include "src/html/parser.h"
 #include "src/html/tokenizer.h"
 #include "src/runtime/runtime.h"
-#include "src/stream/incremental_eval.h"
 #include "src/stream/stream_types.h"
 #include "src/telemetry/telemetry.h"
 #include "src/tree/tree.h"
@@ -19,8 +20,8 @@
 /// Streaming incremental extraction: one wrap request whose page arrives in
 /// chunks. Feed() pushes bytes through the incremental tokenizer, grows the
 /// document tree with the batch parsers' html::TreeConstructor, forwards its
-/// node-created / node-closed events to the incremental TMNF evaluators, and
-/// runs their semi-naive delta rounds — extraction results are emitted via
+/// node-created / node-closed events to core::TmnfEval in each root world,
+/// and runs their worklists — extraction results are emitted via
 /// StreamOptions::on_result as soon as they are both derived and final,
 /// typically long before end of input. Finish() settles the root, runs the
 /// last delta round and returns the output XML, byte-identical to what batch
@@ -32,7 +33,7 @@
 /// label when it is created and leaf/lastsibling when its element closes,
 /// and reads the axes from the tree, whose links never change once made.
 /// The EDB is therefore insert-only, datalog is monotone, and every pre-EOF
-/// derivation is sound — see incremental_eval.h.
+/// derivation is sound — see core/tmnf_eval.h.
 ///
 /// The one fact that is NOT known before end of input is the root: the tree
 /// constructor strips the synthetic "#document" node when it ends up with
@@ -166,20 +167,23 @@ class StreamSession : private html::TreeConstructor::Observer {
   html::TreeConstructor tree_;  // reports to this session's Node* events
   std::vector<bool> closed_;    // per node: subtree complete
 
-  /// One predicate that extraction patterns select, in PredId order.
+  using WorldEval = core::TmnfEval<tree::TreeBuilder>;
+
+  /// One predicate that extraction patterns select: slot i is the rule
+  /// index's watch index i (distinct predicates, ascending PredId).
   struct PatternPred {
     core::PredId pred;
     std::vector<int32_t> patterns;  // indices into extraction_patterns
-    GrowingNodeSet emitted;
+    core::GrowingNodeSet emitted;
   };
-  std::vector<PatternPred> pattern_preds_;  // the evaluators' watch list
-  /// The program's rule index, null when it is outside the TMNF fragment
+  std::vector<PatternPred> pattern_preds_;
+  /// The program's rule index (owned by program_), null when it has none
   /// (batch evaluation at Finish). Both worlds evaluate it.
-  std::unique_ptr<const IncrementalTmnfEval::Rules> rules_;
+  const core::TmnfRules* rules_ = nullptr;
   /// The two hypothesis worlds, both engaged when rules_ is; the loser is
   /// reset at resolution.
-  std::unique_ptr<IncrementalTmnfEval> eval_stripped_;
-  std::unique_ptr<IncrementalTmnfEval> eval_kept_;
+  std::unique_ptr<WorldEval> eval_stripped_;
+  std::unique_ptr<WorldEval> eval_kept_;
 
   bool settled_ = false;   // true once a second top-level node exists (kept)
   bool stripped_ = false;  // the root-strip verdict, decided at Finish

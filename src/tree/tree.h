@@ -245,9 +245,12 @@ class TreeBuilder {
   NodeId last_child(NodeId n) const { return At(tree_.own_last_child_, n); }
   NodeId prev_sibling(NodeId n) const { return At(tree_.own_prev_sibling_, n); }
   NodeId next_sibling(NodeId n) const { return At(tree_.own_next_sibling_, n); }
+  LabelId label(NodeId n) const { return At(tree_.own_label_, n); }
   const std::string& label_name(NodeId n) const {
-    return tree_.labels_.Name(At(tree_.own_label_, n));
+    return tree_.labels_.Name(label(n));
   }
+  /// The alphabet so far; grows as nodes with new labels are created.
+  const util::Interner& labels() const { return tree_.labels_; }
   std::string_view text(NodeId n) const {
     if (static_cast<size_t>(n) < tree_.texts_.size()) return tree_.texts_[n];
     return {};

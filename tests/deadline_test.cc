@@ -1,10 +1,11 @@
 // Per-request deadlines and cooperative cancellation (util/deadline.h),
 // threaded from WrapperRuntime through elog/eval, wrapper/wrapper, the
-// semi-naive rounds of core/eval.cc, the grounded node sweep, and the Horn
-// propagation loop of core/horn.cc. The contract under test: a bounded
-// request unwinds with a *typed* kDeadlineExceeded / kCancelled status — it
-// never hangs a worker, never returns a partial result as success, and never
-// poisons shared state for later requests.
+// semi-naive rounds of core/eval.cc, the grounded node sweep, the Horn
+// propagation loop of core/horn.cc and the TMNF worklist of
+// core/tmnf_eval.cc. The contract under test: a bounded request unwinds
+// with a *typed* kDeadlineExceeded / kCancelled status — it never hangs a
+// worker, never returns a partial result as success, and never poisons
+// shared state for later requests.
 
 #include <chrono>
 #include <future>
@@ -18,6 +19,7 @@
 #include "src/core/eval.h"
 #include "src/core/grounder.h"
 #include "src/core/horn.h"
+#include "src/core/tmnf_eval.h"
 #include "src/elog/ast.h"
 #include "src/elog/eval.h"
 #include "src/elog/to_datalog.h"
@@ -182,6 +184,40 @@ TEST(EngineDeadlineTest, GroundedReplayHonorsTheControl) {
   auto fresh = core::EvaluateGrounded(tmnf, t);
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(ok_result->num_derived(), fresh->num_derived());
+}
+
+TEST(EngineDeadlineTest, TmnfBatchEntryHonorsTheControl) {
+  core::Program tmnf = BoardTmnf();
+  auto rules = core::TmnfRules::Compile(tmnf, {});
+  ASSERT_NE(rules, nullptr);
+  util::Rng rng(10);
+  tree::Tree big = tree::RandomTree(rng, 5000, {"ul", "li", "a"});
+  tree::Tree small = tree::RandomTree(rng, 60, {"ul", "li", "a"});
+  core::TmnfEval<tree::Tree> eval;  // one scratch for every call below
+  ASSERT_TRUE(eval.Evaluate(*rules, big, nullptr).ok());
+
+  util::EvalControl expired(ExpiredDeadline(), nullptr);
+  util::Status s = eval.Evaluate(*rules, big, &expired);
+  EXPECT_EQ(s.code(), util::StatusCode::kDeadlineExceeded);
+
+  util::CancelToken token;
+  token.Cancel();
+  util::EvalControl cancelled(util::Deadline::Infinite(), &token);
+  s = eval.Evaluate(*rules, big, &cancelled);
+  EXPECT_EQ(s.code(), util::StatusCode::kCancelled);
+
+  // The aborted scratch serves the next, smaller tree correctly: nothing of
+  // the big tree's facts survives.
+  ASSERT_TRUE(eval.Evaluate(*rules, small, nullptr).ok());
+  auto want = core::EvaluateGrounded(tmnf, small);
+  ASSERT_TRUE(want.ok());
+  const std::vector<bool> intensional = tmnf.IntensionalMask();
+  for (core::PredId q = 0; q < tmnf.preds().size(); ++q) {
+    if (intensional[q]) {
+      EXPECT_EQ(eval.Members(q), want->Unary(q)) << tmnf.preds().Name(q);
+    }
+  }
+  EXPECT_EQ(eval.num_derived(), want->num_derived());
 }
 
 TEST(EngineDeadlineTest, HornPropagationHonorsTheDeadline) {

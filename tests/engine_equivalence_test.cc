@@ -11,9 +11,11 @@
 #include "src/core/grounder.h"
 #include "src/core/parser.h"
 #include "src/core/program_generator.h"
-#include "src/core/reference_eval.h"
+#include "src/core/tmnf_eval.h"
+#include "src/tmnf/pipeline.h"
 #include "src/tree/generator.h"
 #include "src/util/rng.h"
+#include "tests/support/reference_eval.h"
 
 namespace {
 
@@ -84,6 +86,64 @@ TEST(EngineEquivalenceTest, AllEnginesAgreeOnRandomPrograms) {
   }
   // The sweep must actually exercise the Theorem 4.2 path.
   EXPECT_GT(grounded_runs, 5);
+}
+
+// The serving engine: core::TmnfEval's batch entry over the TMNF translation
+// of random programs must give every IDB predicate of the source program the
+// extent the semi-naive engine (source program) and the grounded engine
+// (TMNF program) give it. One evaluator serves every tree of every program,
+// a large tree before the small ones, so a bit left over from an earlier
+// page or program would show up as a spurious member.
+TEST(EngineEquivalenceTest, TmnfBatchEntryMatchesSemiNaiveAndGrounded) {
+  util::Rng rng(20261019);
+  core::TmnfEval<tree::Tree> eval;
+  int programs_run = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    core::ProgramGenOptions opts;
+    opts.num_rules = 1 + static_cast<int32_t>(rng.Below(10));
+    opts.num_idb_preds = 1 + static_cast<int32_t>(rng.Below(5));
+    opts.max_body_atoms = 1 + static_cast<int32_t>(rng.Below(4));
+    opts.allow_extended = rng.Chance(1, 2);
+    const core::Program p = core::RandomMonadicProgram(rng, opts);
+    auto tmnf = tmnf::ToTmnf(p);
+    ASSERT_TRUE(tmnf.ok()) << tmnf.status().ToString() << "\n"
+                           << core::ToString(p);
+    auto rules = core::TmnfRules::Compile(*tmnf, {});
+    ASSERT_NE(rules, nullptr) << core::ToString(*tmnf);
+    ++programs_run;
+
+    std::vector<tree::Tree> trees;
+    trees.push_back(tree::RandomTree(rng, 300, {"a", "b"}));
+    trees.push_back(tree::RandomTree(
+        rng, 1 + static_cast<int32_t>(rng.Below(40)), {"a", "b"},
+        /*depth_bias=*/true));
+    trees.push_back(tree::ChainTree(1, "a"));
+    // Labels the program never names: only the structural EDB holds.
+    trees.push_back(tree::RandomTree(
+        rng, 1 + static_cast<int32_t>(rng.Below(20)), {"x", "y"}));
+    for (const tree::Tree& t : trees) {
+      const std::string context =
+          core::ToString(p) + "on " + tree::ToDebugString(t);
+      ASSERT_TRUE(eval.Evaluate(*rules, t, nullptr).ok()) << context;
+      core::TreeDatabase db(t);
+      auto semi = core::EvaluateSemiNaive(p, db);
+      auto grounded = core::EvaluateGrounded(*tmnf, t);
+      ASSERT_TRUE(semi.ok()) << context;
+      ASSERT_TRUE(grounded.ok()) << context;
+      const std::vector<bool> intensional = p.IntensionalMask();
+      for (core::PredId q = 0; q < p.preds().size(); ++q) {
+        if (!intensional[q]) continue;
+        const core::PredId tq = tmnf->preds().Find(p.preds().Name(q));
+        const std::vector<tree::NodeId> got = eval.Members(tq);
+        EXPECT_EQ(got, semi->Unary(q)) << p.preds().Name(q) << "\n"
+                                       << context;
+        EXPECT_EQ(got, tq < 0 ? std::vector<tree::NodeId>{}
+                              : grounded->Unary(tq))
+            << p.preds().Name(q) << "\n" << context;
+      }
+    }
+  }
+  EXPECT_EQ(programs_run, 40);
 }
 
 // The random generator emits only unary IDB, so the dense nullary/binary

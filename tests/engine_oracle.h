@@ -1,7 +1,7 @@
 #pragma once
 
 // Engine oracles for the runtime's differential tests. The serving runtime
-// picks one engine per program (GroundPlan replay for Elog⁻, native Elog for
+// picks one engine per program (the TMNF worklist for Elog⁻, native Elog for
 // Elog⁻Δ); the two engines it does not route through are called here
 // directly, with no cache, memo or thread pool in between, so every runtime
 // answer can be held against them:

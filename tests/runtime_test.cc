@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/grounder.h"
-#include "src/core/reference_eval.h"
 #include "src/elog/ast.h"
 #include "src/elog/to_datalog.h"
 #include "src/html/parser.h"
@@ -30,6 +29,7 @@
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
 #include "tests/engine_oracle.h"
+#include "tests/support/reference_eval.h"
 
 namespace {
 

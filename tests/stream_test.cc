@@ -22,13 +22,13 @@
 
 #include "src/core/grounder.h"
 #include "src/core/parser.h"
+#include "src/core/tmnf_eval.h"
 #include "src/elog/ast.h"
 #include "src/elog/eval.h"
 #include "src/html/parser.h"
 #include "src/html/synthetic.h"
 #include "src/html/tokenizer.h"
 #include "src/runtime/runtime.h"
-#include "src/stream/incremental_eval.h"
 #include "src/stream/stream_session.h"
 #include "src/tree/generator.h"
 #include "src/tree/serialize.h"
@@ -408,7 +408,7 @@ TEST(IncrementalTmnfEvalTest, BothRootWorldsMatchBatchOnRandomTrees) {
   )");
   ASSERT_TRUE(program.ok());
   const std::vector<std::string> preds = {"la", "up", "down", "both", "ll"};
-  auto rules = stream::IncrementalTmnfEval::Rules::Compile(*program, {});
+  auto rules = core::TmnfRules::Compile(*program, {});
   ASSERT_NE(rules, nullptr);
 
   util::Rng rng(606);
@@ -419,8 +419,8 @@ TEST(IncrementalTmnfEvalTest, BothRootWorldsMatchBatchOnRandomTrees) {
     // The stream's tree: the synthetic root, then t shifted up by one.
     tree::TreeBuilder builder;
     builder.Root("#document");
-    stream::IncrementalTmnfEval stripped(*rules, builder, 1, {});
-    stream::IncrementalTmnfEval kept(*rules, builder, 0, {});
+    core::TmnfEval<tree::TreeBuilder> stripped(*rules, builder, 1);
+    core::TmnfEval<tree::TreeBuilder> kept(*rules, builder, 0);
     kept.NodeCreated(0);
     std::vector<tree::NodeId> open = {0};
     auto close_until = [&](tree::NodeId parent) {

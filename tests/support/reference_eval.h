@@ -15,15 +15,10 @@
 /// They re-plan every rule on every enumeration, resolve every body atom
 /// through the string-keyed EdbSource::Get per join step, and store IDB
 /// relations in std::map — exactly the costs the production engines
-/// eliminated. Kept for two jobs:
-///
-///  1. independent oracle for the cross-engine equivalence property tests
-///     (a bug would have to be reintroduced twice, in two very different
-///     implementations, to go unnoticed);
-///  2. the old-vs-new benchmark series in bench/bench_eval_linear.cc that
-///     documents the rewrite's speedup.
-///
-/// Not for production use — O(|P|·|dom|) with a much larger constant.
+/// eliminated. Kept as an independent oracle for the cross-engine
+/// equivalence tests: a bug would have to be reintroduced twice, in two very
+/// different implementations, to go unnoticed. Test-only — it is linked into
+/// the tests (mdatalog_test_support), not into the library.
 
 namespace mdatalog::core {
 
