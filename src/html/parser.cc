@@ -1,37 +1,59 @@
 #include "src/html/parser.h"
 
 #include <algorithm>
-#include <set>
 
 namespace mdatalog::html {
 
 namespace {
 
-/// The HTML void elements: never have children, never go on the open stack.
-bool IsVoidElement(const std::string& name) {
-  static const std::set<std::string> kVoid = {
-      "area", "base", "br",    "col",  "embed", "hr",   "img",
-      "input", "link", "meta", "param", "source", "track", "wbr"};
-  return kVoid.count(name) > 0;
+/// The tags tree construction treats specially. Void elements never have
+/// children and never go on the open stack; a start tag of the other kinds
+/// closes an open element of its own kind, and a row also closes a cell.
+enum class Kind { kOther, kVoid, kP, kLi, kCell, kRow, kOption, kDef };
+
+Kind Classify(std::string_view t) {
+  switch (t.size()) {
+    case 1:
+      return t == "p" ? Kind::kP : Kind::kOther;
+    case 2:
+      if (t == "li") return Kind::kLi;
+      if (t == "td" || t == "th") return Kind::kCell;
+      if (t == "tr") return Kind::kRow;
+      if (t == "dd" || t == "dt") return Kind::kDef;
+      return t == "br" || t == "hr" ? Kind::kVoid : Kind::kOther;
+    case 3:
+      return t == "col" || t == "img" || t == "wbr" ? Kind::kVoid
+                                                    : Kind::kOther;
+    case 4:
+      return t == "area" || t == "base" || t == "link" || t == "meta"
+                 ? Kind::kVoid
+                 : Kind::kOther;
+    case 5:
+      return t == "embed" || t == "input" || t == "param" || t == "track"
+                 ? Kind::kVoid
+                 : Kind::kOther;
+    case 6:
+      if (t == "option") return Kind::kOption;
+      return t == "source" ? Kind::kVoid : Kind::kOther;
+    default:
+      return Kind::kOther;
+  }
 }
 
-/// The open tags that a start tag `name` implicitly closes (e.g. a new <tr>
-/// closes an open td and then the open tr).
-const std::vector<std::string>& AutoCloses(const std::string& name) {
-  static const std::vector<std::string> kNone = {};
-  static const std::vector<std::string> kLi = {"li"};
-  static const std::vector<std::string> kCell = {"td", "th"};
-  static const std::vector<std::string> kRow = {"tr", "td", "th"};
-  static const std::vector<std::string> kP = {"p"};
-  static const std::vector<std::string> kOption = {"option"};
-  static const std::vector<std::string> kDef = {"dd", "dt"};
-  if (name == "li") return kLi;
-  if (name == "td" || name == "th") return kCell;
-  if (name == "tr") return kRow;
-  if (name == "p") return kP;
-  if (name == "option") return kOption;
-  if (name == "dd" || name == "dt") return kDef;
-  return kNone;
+/// True iff a start tag of kind `k` implicitly closes an open `open` element.
+bool AutoCloses(Kind k, std::string_view open) {
+  if (k == Kind::kOther || k == Kind::kVoid) return false;
+  const Kind o = Classify(open);
+  return o == k || (k == Kind::kRow && o == Kind::kCell);
+}
+
+/// Scans `html` whole into `constructor` and ends the input (without an
+/// EvalControl the scanner cannot fail).
+util::Status Construct(std::string_view html, TreeConstructor* constructor) {
+  StreamTokenizer tokenizer;
+  (void)tokenizer.Feed(html, constructor);
+  (void)tokenizer.Finish(constructor);
+  return constructor->Finish();
 }
 
 }  // namespace
@@ -44,7 +66,7 @@ TreeConstructor::TreeConstructor(std::string_view project_attr,
   open_.push_back({builder_.Root("#document"), "#document", 0});
 }
 
-tree::NodeId TreeConstructor::Create(const Token& token,
+tree::NodeId TreeConstructor::Create(const TokenView& token,
                                      std::string_view label) {
   OpenElement& parent = open_.back();
   const tree::NodeId n = builder_.Child(parent.node, label);
@@ -58,7 +80,7 @@ void TreeConstructor::Pop() {
   open_.pop_back();
 }
 
-void TreeConstructor::Add(const Token& token) {
+void TreeConstructor::Add(const TokenView& token) {
   switch (token.type) {
     case Token::Type::kDoctype:
     case Token::Type::kComment:
@@ -67,25 +89,25 @@ void TreeConstructor::Add(const Token& token) {
       observer_->NodeClosed(Create(token, "#text"));
       break;
     case Token::Type::kStartTag: {
-      const std::vector<std::string>& closes = AutoCloses(token.data);
-      while (open_.size() > 1 && std::find(closes.begin(), closes.end(),
-                                           open_.back().tag) != closes.end()) {
-        Pop();
-      }
+      const std::string_view tag = token.data;
+      const Kind kind = Classify(tag);
+      while (open_.size() > 1 && AutoCloses(kind, open_.back().tag)) Pop();
       // Remark 2.2: the first occurrence of the attribute wins; an empty
       // value does not project.
+      std::string_view label = tag;
       const auto attr = std::find_if(
           token.attrs.begin(), token.attrs.end(),
-          [&](const Attribute& a) { return a.name == project_attr_; });
-      const tree::NodeId n =
-          project_attr_.empty() || attr == token.attrs.end() ||
-                  attr->value.empty()
-              ? Create(token, token.data)
-              : Create(token, token.data + "@" + attr->value);
-      if (IsVoidElement(token.data) || token.self_closing) {
+          [&](const AttributeView& a) { return a.name == project_attr_; });
+      if (!project_attr_.empty() && attr != token.attrs.end() &&
+          !attr->value.empty()) {
+        label_.assign(tag).append(1, '@').append(attr->value);
+        label = label_;
+      }
+      const tree::NodeId n = Create(token, label);
+      if (kind == Kind::kVoid || token.self_closing) {
         observer_->NodeClosed(n);
       } else {
-        open_.push_back({n, token.data, 0});
+        open_.push_back({n, std::string(tag), 0});
       }
       break;
     }
@@ -116,11 +138,7 @@ bool TreeConstructor::strips_root() const {
 }
 
 tree::Tree TreeConstructor::Build() {
-  const bool strip = strips_root();
-  tree::Tree full = builder_.Build();
-  // The unique top-level node is node 1 and its subtree is every node but
-  // the root (NodeId order is document order, see tree.h).
-  return strip ? tree::CopySubtree(full, 1) : std::move(full);
+  return strips_root() ? builder_.BuildWithoutRoot() : builder_.Build();
 }
 
 std::string Document::GetAttr(tree::NodeId n, const std::string& name) const {
@@ -153,16 +171,15 @@ util::Result<Document> ParseHtml(std::string_view html) {
   struct AttrRecorder final : TreeConstructor::Observer {
     std::vector<std::vector<std::pair<std::string, std::string>>> attrs{1};
     void NodeCreated(tree::NodeId /*n*/, tree::NodeId /*parent*/,
-                     int32_t /*k*/, const Token& token) override {
+                     int32_t /*k*/, const TokenView& token) override {
       auto& node_attrs = attrs.emplace_back();
-      for (const Attribute& a : token.attrs) {
+      for (const AttributeView& a : token.attrs) {
         node_attrs.emplace_back(a.name, a.value);
       }
     }
   } recorder;
   TreeConstructor constructor({}, &recorder);
-  for (const Token& token : Tokenize(html)) constructor.Add(token);
-  MD_RETURN_NOT_OK(constructor.Finish());
+  MD_RETURN_NOT_OK(Construct(html, &constructor));
   if (constructor.strips_root()) recorder.attrs.erase(recorder.attrs.begin());
   return Document(constructor.Build(), std::move(recorder.attrs));
 }
@@ -170,8 +187,7 @@ util::Result<Document> ParseHtml(std::string_view html) {
 util::Result<tree::Tree> ParseTree(std::string_view html,
                                    std::string_view project_attr) {
   TreeConstructor constructor(project_attr);
-  for (const Token& token : Tokenize(html)) constructor.Add(token);
-  MD_RETURN_NOT_OK(constructor.Finish());
+  MD_RETURN_NOT_OK(Construct(html, &constructor));
   return constructor.Build();
 }
 

@@ -11,7 +11,8 @@
 /// \file parser.h
 /// HTML tree construction: the pre-parsed document trees that tree-based
 /// wrapping (Section 1) presupposes, built by one TreeConstructor for the
-/// batch parsers below and the streaming session (src/stream/) alike.
+/// batch parsers below and the streaming session (src/stream/) alike, fed
+/// directly by the one scanner of tokenizer.h.
 ///
 /// The builder is forgiving in the usual browser ways: void elements never
 /// nest; li/p/td/th/tr/option/dd/dt auto-close their predecessors; unmatched
@@ -22,7 +23,7 @@
 
 namespace mdatalog::html {
 
-/// Token-by-token tree construction. The tree grows under a synthetic
+/// Event-by-event tree construction. The tree grows under a synthetic
 /// "#document" root (node 0, created up front and never reported); the
 /// root is stripped at the end when it has exactly one child, so the paper's
 /// trees keep a unique root. With a non-empty `project_attr`, each element's
@@ -30,16 +31,16 @@ namespace mdatalog::html {
 /// <div class=sidebar>): the first occurrence of the attribute wins and an
 /// empty value does not project — exactly ProjectAttributeIntoLabels, applied
 /// as each node is created instead of in a second tree.
-class TreeConstructor {
+class TreeConstructor : public TokenSink {
  public:
   /// Events in document order. Every created node but the root is closed
   /// exactly once, after its last descendant, by Finish() at the latest.
   class Observer {
    public:
     /// `n` is the new `k`-th child (1-based) of `parent`, made from `token`
-    /// (a start tag or a text run); its label and text are set.
+    /// (a start tag or a text run event); its label and text are set.
     virtual void NodeCreated(tree::NodeId /*n*/, tree::NodeId /*parent*/,
-                             int32_t /*k*/, const Token& /*token*/) {}
+                             int32_t /*k*/, const TokenView& /*token*/) {}
     virtual void NodeClosed(tree::NodeId /*n*/) {}
   };
 
@@ -47,8 +48,8 @@ class TreeConstructor {
   explicit TreeConstructor(std::string_view project_attr = {},
                            Observer* observer = nullptr);
 
-  /// Consumes the next token.
-  void Add(const Token& token);
+  /// Consumes the next scanner event.
+  void Add(const TokenView& token) override;
   /// End of input: closes every element still open, innermost first. Fails
   /// with InvalidArgument when the input held no content.
   util::Status Finish();
@@ -68,7 +69,7 @@ class TreeConstructor {
     int32_t num_children;
   };
 
-  tree::NodeId Create(const Token& token, std::string_view label);
+  tree::NodeId Create(const TokenView& token, std::string_view label);
   void Pop();  // closes the innermost open element
 
   const std::string project_attr_;
@@ -76,6 +77,7 @@ class TreeConstructor {
   tree::TreeBuilder builder_;
   /// Open elements, innermost last; the synthetic root is always first.
   std::vector<OpenElement> open_;
+  std::string label_;  ///< reused buffer for a projected "tag@value" label
 };
 
 /// A parsed document: the label tree plus per-node attribute lists (kept out

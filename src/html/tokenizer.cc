@@ -1,328 +1,313 @@
 #include "src/html/tokenizer.h"
 
-#include <cctype>
+#include <algorithm>
+#include <utility>
 
 namespace mdatalog::html {
 
 namespace {
 
-char ToLowerAscii(char c) {
-  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-}
-
-std::string LowerCase(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) out += ToLowerAscii(c);
-  return out;
-}
-
+// ASCII classes: the C-locale <cctype> answers, without the locale lookup.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool IsUpper(char c) { return c >= 'A' && c <= 'Z'; }
+bool IsAlpha(char c) { return IsUpper(c) || (c >= 'a' && c <= 'z'); }
 bool IsNameChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '-' || c == '_' ||
+  return IsAlpha(c) || (c >= '0' && c <= '9') || c == '-' || c == '_' ||
          c == ':';
 }
+char ToLowerAscii(char c) { return IsUpper(c) ? c - 'A' + 'a' : c; }
+
+enum class Closer { kYes, kNo, kNeedMore };
+
+/// Whether the '<' at b[i] opens the end tag of the raw-text element `name`:
+/// "</" and the name in any case, then whitespace, '/', '>' or end of input.
+/// kNeedMore (never with eof) when the bytes end before that is decided.
+Closer MatchRawCloser(std::string_view b, size_t i, std::string_view name,
+                      bool eof) {
+  const Closer short_input = eof ? Closer::kNo : Closer::kNeedMore;
+  if (i + 1 >= b.size()) return short_input;
+  if (b[i + 1] != '/') return Closer::kNo;
+  for (size_t k = 0; k < name.size(); ++k) {
+    if (i + 2 + k >= b.size()) return short_input;
+    if (ToLowerAscii(b[i + 2 + k]) != name[k]) return Closer::kNo;
+  }
+  const size_t q = i + 2 + name.size();
+  if (q >= b.size()) return eof ? Closer::kYes : Closer::kNeedMore;
+  return IsSpace(b[q]) || b[q] == '/' || b[q] == '>' ? Closer::kYes
+                                                     : Closer::kNo;
+}
+
+/// Appends `text` to `out` with the supported entities decoded: never more
+/// bytes than `text` has.
+void AppendDecoded(std::string_view text, std::string* out) {
+  static constexpr std::pair<std::string_view, char> kNamed[] = {
+      {"amp", '&'},   {"lt", '<'},    {"gt", '>'},
+      {"quot", '"'},  {"apos", '\''}, {"nbsp", ' '}};
+  for (size_t i = 0; i < text.size();) {
+    // An entity is '&', at most seven bytes and ';'.
+    const size_t semi = text[i] == '&' ? text.substr(i, 9).find(';') : 0;
+    const std::string_view entity =
+        semi == 0 || semi == text.npos ? "" : text.substr(i + 1, semi - 1);
+    int32_t code = 0;
+    for (const auto& [name, c] : kNamed) {
+      if (entity == name) code = c;
+    }
+    if (entity.size() > 1 && entity[0] == '#') {
+      for (size_t k = 1; k < entity.size() && code <= 127; ++k) {
+        const bool digit = entity[k] >= '0' && entity[k] <= '9';
+        code = digit ? code * 10 + (entity[k] - '0') : 128;
+      }
+    }
+    if (code <= 0 || code > 127) {
+      *out += text[i++];
+      continue;
+    }
+    *out += static_cast<char>(code);
+    i += semi + 1;
+  }
+}
+
+/// Views of `s`, lower-cased / entity-decoded into `buf` when needed. `buf`
+/// must have room for them: neither transform grows a string.
+std::string_view Lowered(std::string_view s, std::string* buf) {
+  if (std::none_of(s.begin(), s.end(), IsUpper)) return s;
+  const size_t at = buf->size();
+  for (const char c : s) *buf += ToLowerAscii(c);
+  return std::string_view(*buf).substr(at);
+}
+std::string_view Decoded(std::string_view s, std::string* buf) {
+  if (s.find('&') == s.npos) return s;
+  const size_t at = buf->size();
+  AppendDecoded(s, buf);
+  return std::string_view(*buf).substr(at);
+}
+
+/// The Token adapter: collects the scanner's events as owning Tokens.
+class TokenCollector final : public TokenSink {
+ public:
+  explicit TokenCollector(std::vector<Token>* out) : out_(out) {}
+  void Add(const TokenView& t) override {
+    Token& token = out_->emplace_back(
+        Token{t.type, std::string(t.data), {}, t.self_closing});
+    for (const AttributeView& a : t.attrs) {
+      token.attrs.push_back({std::string(a.name), std::string(a.value)});
+    }
+  }
+
+ private:
+  std::vector<Token>* out_;
+};
 
 }  // namespace
 
-void StreamTokenizer::FlushText(std::vector<Token>* out) {
-  // Whitespace-only runs between tags carry no content.
-  bool all_space = true;
-  for (char c : text_) {
-    if (!std::isspace(static_cast<unsigned char>(c))) {
-      all_space = false;
-      break;
-    }
-  }
-  if (!text_.empty() && !all_space) {
-    out->push_back({Token::Type::kText, DecodeEntities(text_), {}, false});
+void StreamTokenizer::FlushText(std::string_view run, TokenSink* sink) {
+  if (!text_.empty()) run = text_.append(run);
+  if (!std::all_of(run.begin(), run.end(), IsSpace)) {
+    text_buf_.clear();
+    text_buf_.reserve(run.size());
+    sink->Add({Token::Type::kText, Decoded(run, &text_buf_), {}, false});
   }
   text_.clear();
 }
 
-/// Scans one markup construct starting at the '<' at buf_[i]. kToken means
-/// `*token` is complete and `*end` is the first unconsumed index; kStray
-/// means the '<' is literal text; kNeedMore (never with eof) means the
-/// construct straddles the end of the buffer and must wait for more bytes —
-/// the next Feed rescans it from scratch, which keeps every decision
-/// identical to the batch scan over the full document. With eof the scan
-/// applies exactly the historical end-of-input semantics (unterminated
-/// constructs are closed at the end of the buffer).
-StreamTokenizer::Scan StreamTokenizer::ScanMarkup(size_t i, bool eof,
-                                                  util::EvalTicker* ticker,
-                                                  Token* token, size_t* end) {
-  const std::string& b = buf_;
+/// kStray means the '<' is literal text; kNeedMore (never with eof) means
+/// the construct runs past the end of `b`, to be rescanned from its '<' when
+/// more bytes arrive, which keeps every decision that of a scan over the
+/// whole page. With eof, unterminated constructs close at the end of `b`.
+StreamTokenizer::Scan StreamTokenizer::ScanMarkup(std::string_view b,
+                                                  size_t i, bool eof,
+                                                  size_t* end) {
   const size_t len = b.size();
   size_t p = i + 1;  // past '<'
   if (p >= len) return eof ? Scan::kStray : Scan::kNeedMore;
   if (b[p] == '!') {
-    // "<!" or "<!-" at the buffer edge could still grow into "<!--".
-    if (!eof && len - p < 3 && b.compare(p, len - p, "!--", len - p) == 0) {
-      return Scan::kNeedMore;
-    }
-    if (b.compare(p, 3, "!--") == 0) {
-      size_t close = b.find("-->", p + 3);
-      if (close == std::string::npos && !eof) return Scan::kNeedMore;
-      std::string body = b.substr(
-          p + 3, close == std::string::npos ? std::string::npos
-                                            : close - (p + 3));
-      *end = close == std::string::npos ? len : close + 3;
-      *token = {Token::Type::kComment, std::move(body), {}, false};
-      return Scan::kToken;
-    }
-    // Doctype or other declaration.
-    size_t close = b.find('>', p);
-    if (close == std::string::npos && !eof) return Scan::kNeedMore;
-    std::string body =
-        b.substr(p + 1, close == std::string::npos ? std::string::npos
-                                                   : close - p - 1);
-    *end = close == std::string::npos ? len : close + 1;
-    *token = {Token::Type::kDoctype, std::move(body), {}, false};
+    // A "<!" or "<!-" that could still grow into "<!--" has no '>' yet.
+    const bool comment = b.substr(p, 3) == "!--";
+    const size_t body = comment ? p + 3 : p + 1;
+    const size_t close = comment ? b.find("-->", body) : b.find('>', p);
+    if (close == b.npos && !eof) return Scan::kNeedMore;
+    token_ = {comment ? Token::Type::kComment : Token::Type::kDoctype,
+              b.substr(body, std::min(close, len) - body), {}, false};
+    *end = close == b.npos ? len : close + (comment ? 3 : 1);
     return Scan::kToken;
   }
-  bool closing = b[p] == '/';
+  const bool closing = b[p] == '/';
   if (closing) ++p;
   if (p >= len) return eof ? Scan::kStray : Scan::kNeedMore;
-  if (!std::isalpha(static_cast<unsigned char>(b[p]))) return Scan::kStray;
-  size_t name_start = p;
-  while (p < len && IsNameChar(b[p])) {
-    ++p;
-    if (scan_status_ = ticker->Tick(); !scan_status_.ok()) {
-      return Scan::kAborted;
-    }
-  }
-  std::string name = LowerCase(std::string_view(b).substr(name_start, p - name_start));
+  if (!IsAlpha(b[p])) return Scan::kStray;
+  const size_t name_start = p;
+  while (p < len && IsNameChar(b[p])) ++p;
+  const std::string_view name = b.substr(name_start, p - name_start);
 
-  Token t;
-  t.type = closing ? Token::Type::kEndTag : Token::Type::kStartTag;
-  t.data = name;
-
-  // Attributes. Any scan that runs off the end of the buffer before the
-  // closing '>' falls out of this loop with p == len, which is exactly the
-  // batch end-of-input state — held back below unless eof.
+  // Attributes. A scan that runs off the end before the closing '>' leaves
+  // this loop with p == len: held back below unless eof.
+  bool self_closing = false;
+  attrs_.clear();
   while (p < len && b[p] != '>') {
-    if (scan_status_ = ticker->Tick(); !scan_status_.ok()) {
-      return Scan::kAborted;
-    }
-    if (std::isspace(static_cast<unsigned char>(b[p]))) {
-      ++p;
+    if (b[p] == '/' && p + 1 < len && b[p + 1] == '>') self_closing = true;
+    if (!IsAlpha(b[p])) {
+      ++p;  // whitespace, '/' or junk
       continue;
     }
-    if (b[p] == '/' && p + 1 < len && b[p + 1] == '>') {
-      t.self_closing = true;
-      ++p;
-      continue;
-    }
-    if (!std::isalpha(static_cast<unsigned char>(b[p]))) {
-      ++p;  // skip junk
-      continue;
-    }
-    size_t attr_start = p;
+    const size_t attr_start = p;
     while (p < len && IsNameChar(b[p])) ++p;
-    Attribute attr;
-    attr.name =
-        LowerCase(std::string_view(b).substr(attr_start, p - attr_start));
-    while (p < len && std::isspace(static_cast<unsigned char>(b[p]))) {
-      ++p;
-    }
+    AttributeView attr{b.substr(attr_start, p - attr_start), {}};
+    while (p < len && IsSpace(b[p])) ++p;
     if (p < len && b[p] == '=') {
       ++p;
-      while (p < len && std::isspace(static_cast<unsigned char>(b[p]))) {
-        ++p;
-      }
-      if (p < len && (b[p] == '"' || b[p] == '\'')) {
-        char quote = b[p++];
-        size_t vstart = p;
-        while (p < len && b[p] != quote) {
-          ++p;
-          if (scan_status_ = ticker->Tick(); !scan_status_.ok()) {
-            return Scan::kAborted;
-          }
-        }
-        attr.value =
-            DecodeEntities(std::string_view(b).substr(vstart, p - vstart));
-        if (p < len) ++p;  // closing quote
+      while (p < len && IsSpace(b[p])) ++p;
+      const bool quoted = p < len && (b[p] == '"' || b[p] == '\'');
+      const size_t start = quoted ? p + 1 : p;
+      if (quoted) {
+        p = std::min(b.find(b[p], start), len);
       } else {
-        size_t vstart = p;
-        while (p < len && b[p] != '>' &&
-               !std::isspace(static_cast<unsigned char>(b[p]))) {
-          ++p;
-          if (scan_status_ = ticker->Tick(); !scan_status_.ok()) {
-            return Scan::kAborted;
-          }
-        }
-        attr.value =
-            DecodeEntities(std::string_view(b).substr(vstart, p - vstart));
+        while (p < len && b[p] != '>' && !IsSpace(b[p])) ++p;
       }
+      attr.value = b.substr(start, p - start);
+      if (quoted && p < len) ++p;  // closing quote
     }
-    if (!closing) t.attrs.push_back(std::move(attr));
+    if (!closing) attrs_.push_back(attr);
   }
-  if (p >= len && !eof) return Scan::kNeedMore;  // tag split by the chunk edge
-  if (p < len) ++p;  // consume '>'
-  *end = p;
-  *token = std::move(t);
+  if (p >= len && !eof) return Scan::kNeedMore;  // tag split by the edge
+  *end = std::min(p + 1, len);                    // past '>'
+  // The names and values are disjoint pieces of b[i, p), so this is room
+  // for all of them transformed: no view into tag_buf_ moves.
+  tag_buf_.clear();
+  tag_buf_.reserve(p - i);
+  for (AttributeView& a : attrs_) {
+    a = {Lowered(a.name, &tag_buf_), Decoded(a.value, &tag_buf_)};
+  }
+  token_ = {closing ? Token::Type::kEndTag : Token::Type::kStartTag,
+            Lowered(name, &tag_buf_), attrs_, self_closing};
   return Scan::kToken;
 }
 
-bool StreamTokenizer::DrainRawText(bool eof, std::vector<Token>* out) {
-  size_t e = buf_.find(raw_closer_);
-  if (e == std::string::npos) {
-    if (!eof) {
-      // Discard swallowed content; keep only the longest possible prefix of
-      // the closer at the buffer edge (an occurrence overlapping the chunk
-      // boundary has at most closer.size()-1 bytes in this buffer).
-      size_t keep = raw_closer_.size() - 1;
-      if (buf_.size() > keep) buf_.erase(0, buf_.size() - keep);
-      return false;
+util::Status StreamTokenizer::ScanRegion(std::string_view s, bool eof,
+                                         TokenSink* sink,
+                                         const util::EvalControl* control,
+                                         size_t* held) {
+  size_t p = 0;        // where the search for the next '<' resumes
+  size_t run = 0;      // start of the pending text run
+  size_t charged = 0;  // bytes of s counted towards the next poll
+  *held = s.size();
+  for (size_t i = s.find('<'); i != s.npos; i = s.find('<', p)) {
+    MD_RETURN_NOT_OK(Charge(i + 1 - charged, control));
+    charged = i + 1;
+    if (!raw_name_.empty()) {
+      // Inside script/style: the content up to the closer is dropped.
+      const Closer c = MatchRawCloser(s, i, raw_name_, eof);
+      const size_t gt = c == Closer::kYes ? s.find('>', i) : s.npos;
+      if (c == Closer::kNo) {
+        p = i + 1;
+      } else if (gt == s.npos && !eof) {
+        *held = i;
+        return Charge(s.size() - charged, control);
+      } else {
+        sink->Add({Token::Type::kEndTag, std::exchange(raw_name_, {}), {}});
+        p = run = std::min(gt, s.size() - 1) + 1;
+      }
+      continue;
     }
-    // Closer never appears: content runs to end of input, no end tag.
-    buf_.clear();
-    raw_closer_.clear();
-    raw_name_.clear();
-    return true;
+    size_t end = 0;
+    const Scan r = ScanMarkup(s, i, eof, &end);
+    if (r == Scan::kStray) {
+      p = i + 1;
+      continue;
+    }
+    if (r == Scan::kNeedMore) {
+      text_.append(s.substr(run, i - run));
+      *held = i;
+      return Charge(s.size() - charged, control);
+    }
+    FlushText(s.substr(run, i - run), sink);
+    sink->Add(token_);
+    if (token_.type == Token::Type::kStartTag &&
+        (token_.data == "script" || token_.data == "style")) {
+      // Raw-text elements swallow everything up to the matching end tag
+      // (even when written self-closing).
+      raw_name_ = token_.data == "script" ? "script" : "style";
+    }
+    p = run = end;
   }
-  size_t gt = buf_.find('>', e);
-  if (gt == std::string::npos && !eof) {
-    buf_.erase(0, e);  // closer located; still waiting for its '>'
-    return false;
+  if (!raw_name_.empty()) {
+    if (eof) raw_name_ = {};  // no closer: no end tag, content dropped
+  } else if (eof) {
+    FlushText(s.substr(run), sink);
+  } else {
+    text_.append(s.substr(run));
   }
-  buf_.erase(0, gt == std::string::npos ? buf_.size() : gt + 1);
-  out->push_back({Token::Type::kEndTag, raw_name_, {}, false});
-  raw_closer_.clear();
-  raw_name_.clear();
-  return true;
+  return Charge(s.size() - charged, control);
 }
 
-util::Status StreamTokenizer::Drain(bool eof, std::vector<Token>* out,
-                                    const util::EvalControl* control) {
-  util::EvalTicker ticker(control);
-  for (;;) {
-    if (!raw_closer_.empty()) {
-      MD_RETURN_NOT_OK(ticker.Tick());
-      if (!DrainRawText(eof, out)) return util::Status::OK();
-    }
-    size_t i = 0;
-    bool entered_raw = false;
-    while (i < buf_.size()) {
-      MD_RETURN_NOT_OK(ticker.Tick());
-      if (buf_[i] != '<') {
-        text_ += buf_[i++];
-        continue;
-      }
-      Token token;
-      size_t end = 0;
-      Scan r = ScanMarkup(i, eof, &ticker, &token, &end);
-      if (r == Scan::kAborted) {
-        buf_.erase(0, i);
-        return scan_status_;
-      }
-      if (r == Scan::kNeedMore) {
-        buf_.erase(0, i);
-        return util::Status::OK();
-      }
-      if (r == Scan::kStray) {
-        // A stray '<' is literal text.
-        text_ += '<';
-        ++i;
-        continue;
-      }
-      FlushText(out);
-      bool raw = token.type == Token::Type::kStartTag &&
-                 (token.data == "script" || token.data == "style");
-      if (raw) {
-        // Raw-text elements swallow everything up to the matching end tag
-        // (even when written self-closing, matching the batch scanner).
-        raw_name_ = token.data;
-        raw_closer_ = "</" + token.data;
-      }
-      out->push_back(std::move(token));
-      i = end;
-      if (raw) {
-        entered_raw = true;
-        break;
-      }
-    }
-    buf_.erase(0, i);
-    if (!entered_raw) return util::Status::OK();
+util::Status StreamTokenizer::Charge(size_t bytes,
+                                     const util::EvalControl* control) {
+  if (bytes < poll_left_) {
+    poll_left_ -= bytes;
+    return util::Status::OK();
   }
+  poll_left_ = kPollBytes;
+  return control != nullptr ? control->Check() : util::Status::OK();
 }
 
-util::Status StreamTokenizer::Feed(std::string_view chunk,
-                                   std::vector<Token>* out,
+util::Status StreamTokenizer::Feed(std::string_view chunk, TokenSink* sink,
                                    const util::EvalControl* control) {
   if (finished_) {
     return util::Status::FailedPrecondition(
         "StreamTokenizer::Feed after Finish");
   }
-  buf_.append(chunk);
-  return Drain(/*eof=*/false, out, control);
+  size_t held = 0;
+  // A held construct takes the chunk up to its first '>', which usually
+  // completes it, and the rest of the chunk only if it does not.
+  for (bool first = true; !held_.empty() && !chunk.empty(); first = false) {
+    const size_t n = first ? std::min(chunk.find('>'), chunk.size() - 1) + 1
+                           : chunk.size();
+    held_.append(chunk.substr(0, n));
+    chunk.remove_prefix(n);
+    MD_RETURN_NOT_OK(ScanRegion(held_, /*eof=*/false, sink, control, &held));
+    held_.erase(0, held);
+  }
+  if (!held_.empty()) return util::Status::OK();
+  MD_RETURN_NOT_OK(ScanRegion(chunk, /*eof=*/false, sink, control, &held));
+  held_.assign(chunk.substr(held));
+  return util::Status::OK();
 }
 
-util::Status StreamTokenizer::Finish(std::vector<Token>* out,
+util::Status StreamTokenizer::Finish(TokenSink* sink,
                                      const util::EvalControl* control) {
   if (finished_) {
     return util::Status::FailedPrecondition(
         "StreamTokenizer::Finish called twice");
   }
   finished_ = true;
-  MD_RETURN_NOT_OK(Drain(/*eof=*/true, out, control));
-  FlushText(out);
+  size_t held = 0;
+  MD_RETURN_NOT_OK(ScanRegion(held_, /*eof=*/true, sink, control, &held));
+  held_.clear();
   return util::Status::OK();
+}
+
+util::Status StreamTokenizer::Feed(std::string_view chunk,
+                                   std::vector<Token>* out,
+                                   const util::EvalControl* control) {
+  TokenCollector collector(out);
+  return Feed(chunk, &collector, control);
+}
+
+util::Status StreamTokenizer::Finish(std::vector<Token>* out,
+                                     const util::EvalControl* control) {
+  TokenCollector collector(out);
+  return Finish(&collector, control);
 }
 
 std::string DecodeEntities(std::string_view text) {
   std::string out;
-  out.reserve(text.size());
-  for (size_t i = 0; i < text.size();) {
-    if (text[i] != '&') {
-      out += text[i++];
-      continue;
-    }
-    size_t semi = text.find(';', i);
-    if (semi == std::string_view::npos || semi - i > 8) {
-      out += text[i++];
-      continue;
-    }
-    std::string_view entity = text.substr(i + 1, semi - i - 1);
-    if (entity == "amp") {
-      out += '&';
-    } else if (entity == "lt") {
-      out += '<';
-    } else if (entity == "gt") {
-      out += '>';
-    } else if (entity == "quot") {
-      out += '"';
-    } else if (entity == "apos") {
-      out += '\'';
-    } else if (entity == "nbsp") {
-      out += ' ';
-    } else if (!entity.empty() && entity[0] == '#') {
-      int32_t code = 0;
-      bool ok = entity.size() > 1;
-      for (size_t k = 1; k < entity.size(); ++k) {
-        if (!std::isdigit(static_cast<unsigned char>(entity[k]))) {
-          ok = false;
-          break;
-        }
-        code = code * 10 + (entity[k] - '0');
-      }
-      if (!ok || code <= 0 || code > 127) {
-        out += text[i++];
-        continue;
-      }
-      out += static_cast<char>(code);
-    } else {
-      out += text[i++];
-      continue;
-    }
-    i = semi + 1;
-  }
+  AppendDecoded(text, &out);
   return out;
 }
 
 std::vector<Token> Tokenize(std::string_view html) {
   StreamTokenizer tokenizer;
   std::vector<Token> out;
-  // Without an EvalControl the incremental scanner cannot fail.
+  // Without an EvalControl the scanner cannot fail.
   util::Status st = tokenizer.Feed(html, &out);
   if (st.ok()) st = tokenizer.Finish(&out);
   (void)st;

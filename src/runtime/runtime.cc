@@ -196,6 +196,10 @@ util::Result<std::string> WrapperRuntime::Evaluate(
         program.prepared.extraction_patterns, matches, doc.tree());
     xml = tree::ToXml(out);
   }
+  // The engines poll per stride, so a small page may finish its whole
+  // evaluation without one clock read: a result that arrives past the
+  // deadline is still a deadline failure.
+  if (control != nullptr) MD_RETURN_NOT_OK(control->Check());
 
   pages_wrapped_->Add(1);
   (program.has_ground_plan ? grounded_evals_ : native_evals_)->Add(1);

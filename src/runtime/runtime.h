@@ -102,7 +102,8 @@ struct RuntimeOptions {
 struct RequestOptions {
   /// Absolute deadline; evaluation unwinds with kDeadlineExceeded once it
   /// passes. The check is cooperative (strided polling inside the fixpoint
-  /// loops), so overshoot is microseconds, not unbounded. An over-quota
+  /// loops, plus one check once the output is built), so overshoot is
+  /// microseconds, not unbounded, and a late result is never OK. An over-quota
   /// tenant may have this tightened further at admission (tenant.h).
   util::Deadline deadline;
   /// Shared cancel flag; one token may cover a whole batch. The runtime

@@ -155,11 +155,9 @@ util::Status StreamSession::FeedImpl(std::string_view chunk) {
   bytes_fed_ += static_cast<int64_t>(chunk.size());
   telemetry::TraceSpan span(cur_trace(), "stream.feed");
   span.Value("bytes", static_cast<int64_t>(chunk.size()));
-  std::vector<html::Token> tokens;
-  util::Status s = tokenizer_.Feed(chunk, &tokens, control());
-  if (!s.ok()) return Terminal(std::move(s));
   const int32_t nodes_before = tree_.builder().size();
-  for (const html::Token& token : tokens) tree_.Add(token);
+  util::Status s = tokenizer_.Feed(chunk, &tree_, control());
+  if (!s.ok()) return Terminal(std::move(s));
   span.Value("nodes", tree_.builder().size() - nodes_before);
   s = PropagateAll();
   if (!s.ok()) return Terminal(std::move(s));
@@ -168,7 +166,8 @@ util::Status StreamSession::FeedImpl(std::string_view chunk) {
 }
 
 void StreamSession::NodeCreated(tree::NodeId n, tree::NodeId parent,
-                                int32_t k, const html::Token& /*token*/) {
+                                int32_t k,
+                                const html::TokenView& /*token*/) {
   closed_.push_back(false);
   peak_live_nodes_ = std::max(peak_live_nodes_, ++live_nodes_);
   if (rules_ == nullptr) return;
@@ -260,10 +259,8 @@ util::Result<std::string> StreamSession::FinishImpl() {
   finished_ = true;
   telemetry::TraceSpan finish_span(cur_trace(), "stream.finish");
 
-  std::vector<html::Token> tokens;
-  util::Status s = tokenizer_.Finish(&tokens, control());
+  util::Status s = tokenizer_.Finish(&tree_, control());
   if (!s.ok()) return Terminal(std::move(s));
-  for (const html::Token& token : tokens) tree_.Add(token);
   // End of input closes everything still open.
   s = tree_.Finish();
   if (!s.ok()) return Terminal(std::move(s));
@@ -301,8 +298,8 @@ util::Result<std::string> StreamSession::FinishImpl() {
   elog::ElogResult matches;
   const auto& patterns = program_->prepared.extraction_patterns;
   if (rules_ != nullptr) {
-    // Stripping the root renumbers node m to m - 1 (CopySubtree over the id
-    // range of node 1; see tree.h).
+    // Stripping the root renumbers node m to m - 1
+    // (TreeBuilder::BuildWithoutRoot; see tree.h).
     const int32_t shift = stripped_ ? 1 : 0;
     for (size_t i = 0; i < patterns.size(); ++i) {
       const core::PredId pred = program_->pattern_preds[i];

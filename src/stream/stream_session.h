@@ -18,7 +18,7 @@
 
 /// \file stream_session.h
 /// Streaming incremental extraction: one wrap request whose page arrives in
-/// chunks. Feed() pushes bytes through the incremental tokenizer, grows the
+/// chunks. Feed() pushes bytes through the incremental scanner, grows the
 /// document tree with the batch parsers' html::TreeConstructor, forwards its
 /// node-created / node-closed events to core::TmnfEval in each root world,
 /// and runs their worklists — extraction results are emitted via
@@ -101,8 +101,8 @@ class StreamSession : private html::TreeConstructor::Observer {
   /// tree (final ids = internal ids - 1). Meaningful once the second
   /// top-level node arrives (false from then on) or after Finish.
   bool stripped() const { return stripped_; }
-  /// Bytes held back by the tokenizer waiting for a construct to complete
-  /// (bounded by the longest tag/comment/script body, not the page).
+  /// Bytes held back by the scanner: a construct or text run split by the
+  /// chunk edge (bounded by the longest of those, not the page).
   size_t buffered_bytes() const { return tokenizer_.buffered_bytes(); }
 
   /// Bounded-memory observability: the largest number of simultaneously
@@ -138,7 +138,7 @@ class StreamSession : private html::TreeConstructor::Observer {
 
   /// Tree events, forwarded to the live evaluators.
   void NodeCreated(tree::NodeId n, tree::NodeId parent, int32_t k,
-                   const html::Token& token) override;
+                   const html::TokenView& token) override;
   void NodeClosed(tree::NodeId n) override;
   /// Second top-level node arrived: the root is definitely kept. Drops the
   /// stripped-hypothesis evaluator and flushes everything the kept world has

@@ -1,5 +1,6 @@
 #include "src/tree/tree.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace mdatalog::tree {
@@ -212,17 +213,28 @@ Tree TreeBuilder::Build() {
   return std::move(tree_);
 }
 
-Tree CopySubtree(const Tree& t, NodeId n) {
-  MD_CHECK(n >= 0 && n < t.size());
-  TreeBuilder builder;
-  builder.Root(t.label_name(n));
-  const NodeId last = LastDescendant(t, n);
-  for (NodeId m = n; m <= last; ++m) {
-    const NodeId dst =
-        m == n ? 0 : builder.Child(t.parent(m) - n, t.label_name(m));
-    if (t.HasText(m)) builder.SetText(dst, t.text(m));
+Tree TreeBuilder::BuildWithoutRoot() {
+  Tree& t = tree_;
+  MD_CHECK(size() >= 2 && t.own_first_child_[0] == 1 &&
+           t.own_next_sibling_[1] == kNoNode && t.own_label_[0] == 0);
+  // Labels are interned in node order, so node 0's is label 0; it labels no
+  // other node, and node 1's parent link (0) becomes the root's kNoNode.
+  MD_DCHECK(std::count(t.own_label_.begin(), t.own_label_.end(), 0) == 1);
+  for (std::vector<int32_t>* col :
+       {&t.own_parent_, &t.own_first_child_, &t.own_last_child_,
+        &t.own_prev_sibling_, &t.own_next_sibling_, &t.own_label_}) {
+    for (size_t n = 1; n < col->size(); ++n) {
+      (*col)[n - 1] = (*col)[n] == kNoNode ? kNoNode : (*col)[n] - 1;
+    }
+    col->pop_back();
   }
-  return builder.Build();
+  if (!t.texts_.empty()) t.texts_.erase(t.texts_.begin());
+  util::Interner labels;
+  for (LabelId id = 1; id < t.labels_.size(); ++id) {
+    labels.Intern(t.labels_.Name(id));
+  }
+  t.labels_ = std::move(labels);
+  return Build();
 }
 
 bool TreesEqual(const Tree& a, const Tree& b) {

@@ -258,6 +258,12 @@ class TreeBuilder {
 
   /// Finalizes the tree. The builder must not be reused afterwards.
   Tree Build();
+  /// Finalizes node 1's subtree as the tree (HTML's root strip): node 0 must
+  /// have node 1 as its only child and a label no other node carries. In
+  /// place: index 0 of each column goes, every node and label id drops by
+  /// one, and the alphabet is re-interned without node 0's label — the ids,
+  /// alphabet order and texts of a node-by-node rebuild of node 1's subtree.
+  Tree BuildWithoutRoot();
 
  private:
   int32_t At(const std::vector<int32_t>& col, NodeId n) const {
@@ -285,12 +291,6 @@ NodeId ChildK(const TreeLike& t, NodeId n, int32_t k) {
   for (int32_t i = 1; i < k && c != kNoNode; ++i) c = t.next_sibling(c);
   return c;
 }
-
-/// A deep copy of the subtree of `t` rooted at `n`, as its own tree (labels
-/// and texts included; the new root is node 0). The subtree is the id range
-/// [n, LastDescendant(t, n)], so source node m becomes node m - n and
-/// per-node side tables remap by the same shift.
-Tree CopySubtree(const Tree& t, NodeId n);
 
 /// Structural + label + text equality (labels compared by name, so trees with
 /// different interners compare correctly).

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -36,7 +37,7 @@ class Interner {
  public:
   /// Returns the id for `s`, interning it on first sight.
   SymbolId Intern(std::string_view s) {
-    auto it = ids_.find(std::string(s));
+    auto it = ids_.find(s);
     if (it != ids_.end()) return it->second;
     SymbolId id = static_cast<SymbolId>(strings_.size());
     strings_.emplace_back(s);
@@ -46,7 +47,7 @@ class Interner {
 
   /// Returns the id for `s`, or kInvalidSymbol if never interned.
   SymbolId Find(std::string_view s) const {
-    auto it = ids_.find(std::string(s));
+    auto it = ids_.find(s);
     return it == ids_.end() ? kInvalidSymbol : it->second;
   }
 
@@ -71,8 +72,17 @@ class Interner {
   }
 
  private:
+  /// Hashes std::string and std::string_view alike, so a lookup by view
+  /// allocates nothing.
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> strings_;
-  std::unordered_map<std::string, SymbolId> ids_;
+  std::unordered_map<std::string, SymbolId, Hash, std::equal_to<>> ids_;
 };
 
 }  // namespace mdatalog::util

@@ -11,6 +11,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include "src/html/parser.h"
 #include "src/html/synthetic.h"
 #include "src/runtime/runtime.h"
+#include "src/telemetry/trace.h"
 #include "src/tmnf/pipeline.h"
 #include "src/tree/generator.h"
 #include "src/tree/serialize.h"
@@ -271,7 +273,7 @@ TEST(RuntimeDeadlineTest, AdversarialPageReturnsDeadlineExceededUnder1ms) {
   // check polls cooperatively — the request must come back as a typed
   // kDeadlineExceeded, not hang the worker.
   util::Rng rng(13);
-  const std::string adversarial = html::NestedBoardPage(rng, 10, 3);
+  const std::string adversarial = html::NestedBoardPage(rng, 13, 3);
 
   runtime::WrapperRuntime rt;
   auto handle = rt.Register(BoardWrapper());
@@ -293,6 +295,50 @@ TEST(RuntimeDeadlineTest, AdversarialPageReturnsDeadlineExceededUnder1ms) {
   auto reference = wrapper::WrapTree(BoardWrapper(), doc->tree());
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(*unbounded, tree::ToXml(*reference));
+}
+
+TEST(RuntimeDeadlineTest, DeadlinePassedBeforeTheOutputWasBuiltIsNotOk) {
+  // A 2k-node page derives fewer facts than one polling stride, so no poll
+  // inside the evaluation sees a deadline that passes during evaluation or
+  // output construction. The caller-owned trace says when the output was
+  // built; a request whose deadline came before that must not be OK. The
+  // deadlines sweep the length of one whole request, so some of them fall
+  // in that window on fast and slow (sanitizer) builds alike.
+  util::Rng rng(13);
+  const std::string page = html::NestedBoardPage(rng, 10, 3);
+  runtime::RuntimeOptions opts;
+  opts.result_memo.byte_budget = 0;  // every request evaluates
+  runtime::WrapperRuntime rt(opts);
+  auto handle = rt.Register(BoardWrapper());
+  ASSERT_TRUE(handle.ok());
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(rt.Wrap(*handle, page).ok());  // the document is now cached
+  const auto step = (std::chrono::steady_clock::now() - start) / 100;
+
+  int late = 0;
+  for (int round = 0; round < 20 && late == 0; ++round) {
+    for (int k = 0; k <= 100; ++k) {
+      telemetry::TraceContext trace("wrap");
+      runtime::RequestOptions request;
+      request.trace = &trace;
+      request.deadline = util::Deadline::After(step * k);
+      const auto got = rt.Wrap(*handle, page, request);
+      const int64_t deadline_ns =
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              request.deadline.at().time_since_epoch())
+              .count();
+      for (const telemetry::SpanRecord& span : trace.spans()) {
+        if (std::string_view(span.name) != "output.build" ||
+            span.end_ns < deadline_ns) {
+          continue;
+        }
+        ++late;
+        ASSERT_FALSE(got.ok()) << "deadline step " << k;
+        EXPECT_EQ(got.status().code(), util::StatusCode::kDeadlineExceeded);
+      }
+    }
+  }
+  EXPECT_GT(late, 0);
 }
 
 TEST(RuntimeDeadlineTest, ExpiredRequestFastFailsBeforeAnyWork) {

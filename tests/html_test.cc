@@ -1,3 +1,6 @@
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/html/parser.h"
@@ -77,6 +80,30 @@ TEST(TokenizerTest, ScriptContentIsRaw) {
     if (t.type == Token::Type::kStartTag && t.data == "p") has_p = true;
   }
   EXPECT_TRUE(has_p);
+}
+
+/// "type|data" per token, one a line.
+std::string Sig(const std::vector<Token>& tokens) {
+  std::string sig;
+  for (const Token& t : tokens) {
+    sig += std::to_string(static_cast<int>(t.type)) + "|" + t.data + "\n";
+  }
+  return sig;
+}
+
+TEST(TokenizerTest, RawTextCloserIgnoresCaseAndNeedsANameBoundary) {
+  const std::string script_p = "0|script\n1|script\n0|p\n2|hi\n1|p\n";
+  // An upper-case closer ends the script; the page after it is not swallowed.
+  EXPECT_EQ(Sig(Tokenize("<SCRIPT>x</SCRIPT><p>hi</p>")), script_p);
+  EXPECT_EQ(Sig(Tokenize("<script>x</ScRiPt><p>hi</p>")), script_p);
+  // A longer name is no closer: the body runs on to the real </script>.
+  EXPECT_EQ(Sig(Tokenize("<script>a</scripts><p>x</p></script>")),
+            "0|script\n1|script\n");
+  // Whitespace, '/' and end of input end the name too.
+  EXPECT_EQ(Sig(Tokenize("<style>a</style >b")), "0|style\n1|style\n2|b\n");
+  EXPECT_EQ(Sig(Tokenize("<style>a</STYLE/>b")), "0|style\n1|style\n2|b\n");
+  EXPECT_EQ(Sig(Tokenize("<script>a</script")), "0|script\n1|script\n");
+  EXPECT_EQ(Sig(Tokenize("<script>a</scrip")), "0|script\n");
 }
 
 TEST(TokenizerTest, StrayAngleBracketIsText) {

@@ -37,6 +37,13 @@ wrapper::Wrapper FuzzWrapper() {
   return w;
 }
 
+/// Raw-text closers in mixed case, with and without a name boundary,
+/// comments, entities and quoted attribute values holding '>' and '<'.
+constexpr char kTrickyPage[] =
+    "<div class=\"a&amp;b\" id='q&lt;'><!-- c -- > --><SCRIPT>x</scripts>y"
+    "</ScRiPt ><p>t &amp; u &#65;</p><style>a</STYLE/><i title=\"x>y\">z</i>"
+    "<Style>b</style\n></div>";
+
 /// Small, structure-rich bases; every mutant stays ≤ ~2KB so the whole corpus
 /// is cheap even single-threaded under sanitizers.
 std::vector<std::string> BasePages() {
@@ -45,6 +52,7 @@ std::vector<std::string> BasePages() {
       "<!-- c --><script>a<b</script><p>tail</p></div>",
       "lead<div><div id='q'>deep</div></div><br>trail",
       "<table><tr><td>1</td><td>2<tr><td>3</table>",
+      kTrickyPage,
   };
   util::Rng rng(99);
   pages.push_back(html::NestedBoardPage(rng, 2, 3));
@@ -162,6 +170,24 @@ TEST(StreamFuzzTest, TruncationAtEveryByteOfASmallPageAgreesWithBatch) {
       EXPECT_EQ(streamed.status().code(), batch.status().code())
           << "cut at " << cut;
     }
+  }
+}
+
+TEST(StreamFuzzTest, TrickyConstructsSplitAtEveryByteAgreeWithBatch) {
+  const std::string page = kTrickyPage;
+  runtime::WrapperRuntime rt;
+  auto handle = rt.Register(FuzzWrapper(), "class");
+  ASSERT_TRUE(handle.ok());
+  auto batch = rt.Wrap(*handle, page);
+  ASSERT_TRUE(batch.ok());
+  for (size_t cut = 0; cut <= page.size(); ++cut) {
+    auto session = rt.SubmitStream({.wrapper = *handle}, {});
+    ASSERT_TRUE(session.ok());
+    ASSERT_TRUE((*session)->Feed(page.substr(0, cut)).ok());
+    ASSERT_TRUE((*session)->Feed(page.substr(cut)).ok());
+    auto streamed = (*session)->Finish();
+    ASSERT_TRUE(streamed.ok()) << "cut at " << cut;
+    EXPECT_EQ(*streamed, *batch) << "cut at " << cut;
   }
 }
 

@@ -37,10 +37,14 @@
 #include "src/util/rng.h"
 #include "src/wrapper/wrapper.h"
 #include "tests/engine_oracle.h"
+#include "tests/html_pages.h"
+#include "tests/support/reference_tokenizer.h"
 
 namespace {
 
 using namespace mdatalog;
+using html::TokenSig;
+using testing_util::NastyPages;
 
 // ---------------------------------------------------------------------------
 // Fixtures
@@ -135,29 +139,6 @@ std::string BoardPage(uint64_t seed, int32_t depth, int32_t fanout) {
   return html::NestedBoardPage(rng, depth, fanout);
 }
 
-/// Parser stress fragments: auto-close chains, entities, raw-text elements,
-/// comments and doctype, unmatched end tags, void / self-closing elements,
-/// multiple top-level nodes (root kept) and single roots (root stripped).
-const std::vector<std::string>& NastyPages() {
-  static const std::vector<std::string> pages = {
-      "<html><body><ul><li>a<li>b &amp; c<li>d</ul></body></html>",
-      "<p>first<p>second<hr><p>third",
-      R"(leading text<div class="x"><span>mid</span></div>trailing)",
-      "<!DOCTYPE html><!-- note --><div><script>if(a<b){x=\"</div>\";}"
-      "</script><em>t</em></div>",
-      R"(<table><tr class=item><td class=price>1 &lt; 2</td><td>x</td>)"
-      R"(<tr class=item><td class=price>3</td></table>)",
-      "<div><p>unclosed<div>nested</div>",
-      "<a/><br><img src=x><b>bold</b>",
-      "justtext",
-      "<div>&unknown; &amp;&#65;</div>",
-      "<ul><li><ul><li>deep</ul></li></ul>",
-      "<div>a<!-- c1 --><style>p { color: red }</style>b</div>",
-      "<li>top-level-li<li>another",
-  };
-  return pages;
-}
-
 // ---------------------------------------------------------------------------
 // Chunkings
 // ---------------------------------------------------------------------------
@@ -215,21 +196,6 @@ std::vector<std::vector<std::string>> Chunkings(const std::string& page,
 // ---------------------------------------------------------------------------
 // Oracles
 // ---------------------------------------------------------------------------
-
-std::string TokenSig(const std::vector<html::Token>& tokens) {
-  std::string sig;
-  for (const html::Token& t : tokens) {
-    sig += std::to_string(static_cast<int>(t.type));
-    sig += '|';
-    sig += t.data;
-    for (const html::Attribute& a : t.attrs) {
-      sig += '[' + a.name + '=' + a.value + ']';
-    }
-    if (t.self_closing) sig += "/";
-    sig += '\n';
-  }
-  return sig;
-}
 
 std::string StrCat(const std::vector<std::string>& chunks) {
   std::string out;
@@ -331,6 +297,26 @@ TEST(StreamTokenizerTest, ChunkingNeverChangesTheTokenStream) {
           << "page " << pi << " under " << chunks.size() << " chunks";
     }
   }
+}
+
+TEST(StreamTokenizerTest, RawTextCloserSplitAtEveryByte) {
+  // Case-insensitive closers with a name boundary, cut at every byte: the
+  // held-back prefix of "</SCRIPT" must decide exactly as the whole page.
+  for (const std::string page :
+       {"<SCRIPT>x</SCRIPT ><p>hi</p>", "<script>a</scripts><p>x</p></script>",
+        "<style>a</Style/><i>b</i>", "<style>a</Style"}) {
+    const std::string expected = TokenSig(html::Tokenize(page));
+    for (size_t k = 0; k <= page.size(); ++k) {
+      html::StreamTokenizer tok;
+      std::vector<html::Token> tokens;
+      ASSERT_TRUE(tok.Feed(page.substr(0, k), &tokens).ok());
+      ASSERT_TRUE(tok.Feed(page.substr(k), &tokens).ok());
+      ASSERT_TRUE(tok.Finish(&tokens).ok());
+      EXPECT_EQ(TokenSig(tokens), expected) << page << " split at " << k;
+    }
+  }
+  EXPECT_EQ(TokenSig(html::Tokenize("<SCRIPT>x</SCRIPT ><p>hi</p>")),
+            "0|script\n1|script\n0|p\n2|hi\n1|p\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -511,6 +497,29 @@ TEST(StreamSessionTest, EmitsResultsBeforeEndOfInput) {
   EXPECT_EQ(rt.stats().stream_sessions_failed, 0);
 }
 
+TEST(StreamSessionTest, HeldBackBytesStayBoundedOnALargePage) {
+  // 2 MB of small elements in 4 KB chunks: only a construct or text run
+  // that straddles a chunk edge may be held back, never the page.
+  const std::string item =
+      "<div class=\"c\"><span>item</span><a href=\"/x\">a &amp; b</a></div>\n";
+  std::string page = "<html><body>";
+  while (page.size() < (2 << 20)) page += item;
+  page += "</body></html>";
+  runtime::WrapperRuntime rt;
+  auto handle = rt.Register(GenericWrapper(), "class");
+  ASSERT_TRUE(handle.ok());
+  auto session = rt.SubmitStream({.wrapper = *handle}, {});
+  ASSERT_TRUE(session.ok());
+  size_t peak = 0;
+  for (const std::string& chunk : FixedChunks(page, 4096)) {
+    ASSERT_TRUE((*session)->Feed(chunk).ok());
+    peak = std::max(peak, (*session)->buffered_bytes());
+  }
+  // Every construct of the page lies inside one item.
+  EXPECT_LT(peak, 4096 + item.size());
+  EXPECT_TRUE((*session)->Finish().ok());
+}
+
 // ---------------------------------------------------------------------------
 // Deadlines inside the parse
 // ---------------------------------------------------------------------------
@@ -538,6 +547,34 @@ TEST(StreamDeadlineTest, ExpiredControlFiresInsideTokenization) {
   std::vector<html::Token> tokens;
   util::Status s = tok.Feed(page, &tokens, &control);
   EXPECT_EQ(s.code(), util::StatusCode::kDeadlineExceeded);
+}
+
+TEST(StreamDeadlineTest, ScannerPollsByBytesAcrossFeeds) {
+  // The poll budget counts bytes, not constructs, and carries across Feeds:
+  // neither chunks far smaller than one stride nor a page of a few long
+  // text runs may scan to the end past an expired control.
+  const util::EvalControl control(
+      util::Deadline::After(std::chrono::milliseconds(0)), nullptr);
+  const std::string page = MultiMegabytePage();
+  html::StreamTokenizer small_chunks;
+  std::vector<html::Token> tokens;
+  util::Status s;
+  size_t fed = 0;
+  for (; fed < page.size() && s.ok(); fed += 7) {
+    s = small_chunks.Feed(page.substr(fed, 7), &tokens, &control);
+  }
+  EXPECT_EQ(s.code(), util::StatusCode::kDeadlineExceeded);
+  EXPECT_LE(fed, 2 * html::StreamTokenizer::kPollBytes);
+
+  std::string long_runs;
+  for (int i = 0; i < 16; ++i) {
+    long_runs += "<p>" + std::string(64 * 1024, 'x') + "</p>";
+  }
+  html::StreamTokenizer few_constructs;
+  tokens.clear();
+  s = few_constructs.Feed(long_runs, &tokens, &control);
+  EXPECT_EQ(s.code(), util::StatusCode::kDeadlineExceeded);
+  EXPECT_LT(tokens.size(), 4u);
 }
 
 TEST(StreamDeadlineTest, MillisecondDeadlineKillsMultiMegabyteSession) {

@@ -1,5 +1,10 @@
+#include <string>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
+#include "src/html/parser.h"
+#include "src/html/tokenizer.h"
 #include "src/tree/binary.h"
 #include "src/tree/generator.h"
 #include "src/tree/ranked.h"
@@ -203,6 +208,87 @@ TEST(TreeTest, EqualityDifferentInternOrder) {
   (void)c2;
   Tree t2 = b2.Build();
   EXPECT_TRUE(TreesEqual(t1, t2));
+}
+
+/// The node-by-node rebuild of n's subtree that the in-place root strip
+/// replaced: source node m becomes node m - n.
+Tree RebuildSubtree(const Tree& t, NodeId n) {
+  TreeBuilder builder;
+  builder.Root(t.label_name(n));
+  const NodeId last = LastDescendant(t, n);
+  for (NodeId m = n; m <= last; ++m) {
+    const NodeId dst =
+        m == n ? 0 : builder.Child(t.parent(m) - n, t.label_name(m));
+    if (t.HasText(m)) builder.SetText(dst, t.text(m));
+  }
+  return builder.Build();
+}
+
+/// Same ids, parents, label ids and names, texts and alphabet order.
+void ExpectIdentical(const Tree& got, const Tree& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (NodeId n = 0; n < got.size(); ++n) {
+    ASSERT_EQ(got.parent(n), want.parent(n)) << n;
+    ASSERT_EQ(got.label(n), want.label(n)) << n;
+    ASSERT_EQ(got.label_name(n), want.label_name(n)) << n;
+    ASSERT_EQ(got.text(n), want.text(n)) << n;
+  }
+  ASSERT_EQ(got.labels().size(), want.labels().size());
+  for (LabelId id = 0; id < got.labels().size(); ++id) {
+    EXPECT_EQ(got.labels().Name(id), want.labels().Name(id)) << id;
+  }
+}
+
+/// Constructs `page` and checks TreeConstructor::Build against the
+/// unstripped tree: its node-1 rebuild when the root is stripped, the tree
+/// itself when it is kept. Returns whether the root was stripped.
+bool CheckRootStrip(std::string_view page) {
+  html::TreeConstructor constructor;
+  html::StreamTokenizer scanner;
+  EXPECT_TRUE(scanner.Feed(page, &constructor).ok());
+  EXPECT_TRUE(scanner.Finish(&constructor).ok());
+  EXPECT_TRUE(constructor.Finish().ok());
+  TreeBuilder unstripped = constructor.builder();
+  const Tree full = unstripped.Build();
+  const bool strips = constructor.strips_root();
+  const Tree built = constructor.Build();
+  ExpectIdentical(built, strips ? RebuildSubtree(full, 1) : full);
+  EXPECT_EQ(built.FindLabel("#document") == util::kInvalidSymbol, strips);
+  return strips;
+}
+
+TEST(TreeBuilderTest, BuildWithoutRootEqualsRebuildingNodeOne) {
+  // Labels shared across levels and texts on several nodes.
+  EXPECT_TRUE(CheckRootStrip(
+      "<div class=a><p>x &amp; y</p>mid<div><p>z</p><br></div>tail</div>"));
+  // Several top-level nodes: the root stays.
+  EXPECT_FALSE(CheckRootStrip("<p>a</p>between<p>b</p>"));
+  // The only top-level node is a text run.
+  EXPECT_TRUE(CheckRootStrip("just text"));
+  // 100k-deep: no recursion anywhere.
+  std::string deep;
+  for (int i = 0; i < 100000; ++i) deep += "<div>";
+  EXPECT_TRUE(CheckRootStrip(deep + "x"));
+}
+
+TEST(TreeBuilderTest, BuildWithoutRootOnAHandBuiltTree) {
+  // #document(x(y, x("t"), z)): node 0's label goes, the others keep their
+  // order of first use.
+  TreeBuilder b;
+  const NodeId r = b.Root("#document");
+  const NodeId x = b.Child(r, "x");
+  b.Child(x, "y");
+  b.SetText(b.Child(x, "x"), "t");
+  b.Child(x, "z");
+  TreeBuilder copy = b;
+  const Tree full = copy.Build();
+  const Tree t = b.BuildWithoutRoot();
+  ExpectIdentical(t, RebuildSubtree(full, 1));
+  EXPECT_EQ(ToDebugString(t), "x(y,x,z)");
+  EXPECT_EQ(t.parent(0), kNoNode);
+  EXPECT_EQ(t.label(0), 0);
+  EXPECT_EQ(t.text(2), "t");
+  EXPECT_EQ(t.FindLabel("#document"), util::kInvalidSymbol);
 }
 
 TEST(TreeTest, DebugString) {
